@@ -4,6 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from euclidkit import cli
+
 GCD_REPORT_GOLDEN = """\
 command: gcd
 param a: 240
@@ -160,6 +164,96 @@ param b: 46
 param format: report
 summary reduced_a: 120
 summary reduced_b: 23
+"""
+
+STATS_YAO_KNUTH_REPORT_GOLDEN = """\
+command: stats yao-knuth
+param a: 1000
+param format: report
+summary total: 32519
+summary predicted: 29008.5079736563
+summary ratio: 1.1210159457195
+summary mean_cf_length: 5.423
+"""
+
+PERFECT_SCAN_REPORT_GOLDEN = """\
+command: perfect
+param format: report
+param scan: 10000
+row n=6 p=2
+row n=28 p=3
+row n=496 p=5
+row n=8128 p=7
+summary count: 4
+"""
+
+GRIMM_SCAN_REPORT_GOLDEN = """\
+command: grimm
+param format: report
+param scan: 100
+row m=3 n=1 matched=true assignment=2
+row m=5 n=1 matched=true assignment=2
+row m=7 n=3 matched=true assignment=2,3,5
+row m=11 n=1 matched=true assignment=2
+row m=13 n=3 matched=true assignment=7,3,2
+row m=17 n=1 matched=true assignment=2
+row m=19 n=3 matched=true assignment=5,3,2
+row m=23 n=5 matched=true assignment=2,5,13,3,7
+row m=29 n=1 matched=true assignment=2
+row m=31 n=5 matched=true assignment=2,11,17,5,3
+row m=37 n=3 matched=true assignment=19,3,2
+row m=41 n=1 matched=true assignment=2
+row m=43 n=3 matched=true assignment=11,3,2
+row m=47 n=5 matched=true assignment=3,7,5,17,2
+row m=53 n=5 matched=true assignment=3,5,7,19,2
+row m=59 n=1 matched=true assignment=2
+row m=61 n=5 matched=true assignment=31,7,2,5,3
+row m=67 n=3 matched=true assignment=17,3,2
+row m=71 n=1 matched=true assignment=2
+row m=73 n=5 matched=true assignment=37,3,19,7,2
+row m=79 n=3 matched=true assignment=5,3,2
+row m=83 n=5 matched=true assignment=3,5,43,29,2
+row m=89 n=7 matched=true assignment=3,7,23,31,47,5,2
+row m=97 n=3 matched=true assignment=7,3,2
+summary runs: 24
+summary matched_runs: 24
+"""
+
+INTERVAL_EQUIV_SCAN_REPORT_GOLDEN = """\
+command: interval-equiv
+param format: report
+param scan: 50
+summary checked: 50
+summary mismatches: 0
+"""
+
+HELP_GOLDEN = """\
+usage: euclidkit [-h]
+                 {gcd,xgcd,div-from-bezout,lowest-terms,cf,stats,dynamics,dedekind,reciprocity-scan,perfect,euclid-extend,wseq,interval-equiv,grimm,nonw}
+                 ...
+
+Command-line interface: one subcommand per verification primitive.
+
+positional arguments:
+  {gcd,xgcd,div-from-bezout,lowest-terms,cf,stats,dynamics,dedekind,reciprocity-scan,perfect,euclid-extend,wseq,interval-equiv,grimm,nonw}
+    gcd                 gcd with a replayable trace
+    xgcd                Bezout certificate by back-substitution
+    div-from-bezout     quotient and remainder rebuilt from a certificate
+    lowest-terms        reduce a pair by its gcd
+    cf                  continued fraction of a/b and its round trip
+    stats               corpus statistics
+    dynamics            subtractive map orbit and step matrices
+    dedekind            exact Dedekind sum s(h, k)
+    reciprocity-scan    verify reciprocity on all coprime pairs up to --limit
+    perfect             perfect-number certificate or scan
+    euclid-extend       a prime outside any finite list
+    wseq                least coprime witness of a sequence
+    interval-equiv      prime between squares vs coprime witness window
+    grimm               distinct prime divisors for composite runs
+    nonw                longest witness-free run from m+1
+
+options:
+  -h, --help            show this help message and exit
 """
 
 
@@ -334,6 +428,26 @@ def test_stats_yao_knuth_integer_lines():
     assert "summary total: 32519" in result.stdout
 
 
+def run_main(capsys, *args):
+    """One invocation in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["stats", "yao-knuth", "1000"], STATS_YAO_KNUTH_REPORT_GOLDEN),
+        (["perfect", "--scan", "10000"], PERFECT_SCAN_REPORT_GOLDEN),
+        (["grimm", "--scan", "100"], GRIMM_SCAN_REPORT_GOLDEN),
+        (["interval-equiv", "--scan", "50"], INTERVAL_EQUIV_SCAN_REPORT_GOLDEN),
+    ],
+)
+def test_scan_and_statistics_report_goldens(capsys, argv, golden):
+    assert run_main(capsys, *argv, "--format", "report") == (0, golden, "")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -384,6 +498,68 @@ def test_help_exits_zero():
     result = run_cli("--help")
     assert result.returncode == 0
     assert "gcd" in result.stdout
+
+
+def test_exit_code_1_report_goldens(capsys):
+    message = "2**11 - 1 is composite; no perfect number here"
+    assert run_main(capsys, "perfect", "11") == (
+        1,
+        f"perfect  format=text p=11\nVIOLATION: {message}\n",
+        "",
+    )
+    assert run_main(capsys, "perfect", "11", "--format", "report") == (
+        1,
+        f"command: perfect\nparam format: report\nparam p: 11\nviolation: {message}\n",
+        "",
+    )
+
+
+# Exit 2 and 3 reports carry the command and the error only, on stderr, in the
+# text layout whatever --format says.
+ERROR_GOLDENS = [
+    (["gcd", "0", "5"], 2, "gcd\nVIOLATION: a must be at least 1, got 0\n"),
+    (
+        ["div-from-bezout", "10000000", "3"],
+        3,
+        "div-from-bezout\nVIOLATION: gcd validation for (10000000, 3)"
+        " exceeded 1000000 subtraction steps\n",
+    ),
+    (
+        ["gcd", "1000000", "1", "--method", "subtractive", "--budget", "10"],
+        3,
+        "gcd\nVIOLATION: gcd_subtractive(1000000, 1): exceeded 10 subtraction steps\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+@pytest.mark.parametrize("argv, code, golden", ERROR_GOLDENS)
+def test_error_report_goldens(capsys, argv, code, golden, fmt):
+    assert run_main(capsys, *argv, "--format", fmt) == (code, "", golden)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["perfect", "7", "--scan", "5"],
+            "perfect\nVIOLATION: perfect needs an exponent or --scan, not both\n",
+        ),
+        (["reciprocity-scan"], "reciprocity-scan\nVIOLATION: reciprocity-scan needs --limit\n"),
+        (["grimm", "89"], "grimm\nVIOLATION: grimm needs both m and n for a single window\n"),
+        (
+            ["interval-equiv"],
+            "interval-equiv\nVIOLATION: interval-equiv needs m or --scan, not both\n",
+        ),
+    ],
+)
+def test_usage_error_goldens(capsys, argv, golden):
+    assert run_main(capsys, *argv) == (2, "", golden)
+
+
+def test_help_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert run_main(capsys, "--help") == (0, HELP_GOLDEN, "")
 
 
 # ---------------------------------------------------------------------------
