@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from math import gcd
+from typing import Callable, NamedTuple
 
 from . import cf_dynamics, dedekind, euclid, propositions, sequences
+from .cf_dynamics import BOTTOM_MINUS_TOP, TOP_MINUS_BOTTOM
 from .errors import (
     CertificateMismatchError,
     DomainError,
@@ -80,23 +83,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_params(args, names) -> dict[str, str]:
-    params = {"format": args.format}
-    if getattr(args, "out", None):
-        params["out"] = args.out
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            params[name] = _bool(value)
-        elif isinstance(value, (list, tuple)):
-            params[name] = ",".join(str(v) for v in value)
-        else:
-            params[name] = str(value)
-    return params
-
-
 def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, str]]:
     rows = []
     for index, step in enumerate(trace.steps, start=1):
@@ -108,8 +94,8 @@ def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, str]]:
     return rows
 
 
-def _cmd_gcd(args) -> Report:
-    report = Report("gcd", _common_params(args, ["a", "b", "method", "trace", "budget"]))
+def _cmd_gcd(args, report: Report) -> None:
+    """gcd with a replayable trace"""
     if args.method == "subtractive":
         g, trace = euclid.gcd_subtractive(args.a, args.b, step_budget=args.budget)
     else:
@@ -118,25 +104,21 @@ def _cmd_gcd(args) -> Report:
         report.rows = _trace_rows(trace)
     report.summary["gcd"] = str(g)
     report.summary["step_count"] = str(trace.step_count)
-    return report
 
 
-def _cmd_xgcd(args) -> Report:
-    report = Report("xgcd", _common_params(args, ["a", "b"]))
+def _cmd_xgcd(args, report: Report) -> None:
+    """Bezout certificate by back-substitution"""
     cert = euclid.xgcd(args.a, args.b)
     report.summary["g"] = str(cert.g)
     report.summary["x"] = str(cert.x)
     report.summary["y"] = str(cert.y)
-    return report
 
 
-def _cmd_div_from_bezout(args) -> Report:
+def _cmd_div_from_bezout(args, report: Report) -> None:
+    """quotient and remainder rebuilt from a certificate"""
     given = [args.x, args.y, args.g]
     if any(v is not None for v in given) and any(v is None for v in given):
         raise UsageError("div-from-bezout needs all of --x, --y, --g or none")
-    report = Report(
-        "div-from-bezout", _common_params(args, ["a", "b", "x", "y", "g", "budget"])
-    )
     if args.x is None:
         cert = euclid.xgcd(args.a, args.b)
     else:
@@ -149,41 +131,46 @@ def _cmd_div_from_bezout(args) -> Report:
     report.summary["cert_y"] = str(cert.y)
     report.summary["quotient"] = str(quotient)
     report.summary["remainder"] = str(remainder)
-    return report
 
 
-def _cmd_lowest_terms(args) -> Report:
-    report = Report("lowest-terms", _common_params(args, ["a", "b"]))
+def _cmd_lowest_terms(args, report: Report) -> None:
+    """reduce a pair by its gcd"""
     num, den = euclid.lowest_terms(args.a, args.b)
     report.summary["reduced_a"] = str(num)
     report.summary["reduced_b"] = str(den)
-    return report
 
 
-def _cmd_cf(args) -> Report:
-    report = Report("cf", _common_params(args, ["a", "b"]))
+def _cmd_cf(args, report: Report) -> None:
+    """continued fraction of a/b and its round trip"""
     cf = cf_dynamics.cf_expand(args.a, args.b)
     num, den = cf_dynamics.cf_value(cf)
     report.summary["quotients"] = ",".join(str(q) for q in cf.quotients)
     report.summary["length"] = str(len(cf.quotients))
     report.summary["value"] = f"{num}/{den}"
-    return report
 
 
-def _cmd_yao_knuth(args) -> Report:
-    report = Report("stats yao-knuth", _common_params(args, ["a", "budget"]))
+def _cmd_yao_knuth(args, report: Report) -> None:
+    """sum of all partial quotients up to a"""
     stat = cf_dynamics.yao_knuth_stat(args.a, scan_budget=args.budget)
     mean_len = cf_dynamics.average_cf_length(args.a, scan_budget=args.budget)
     report.summary["total"] = str(stat.total)
     report.summary["predicted"] = _real(stat.predicted)
     report.summary["ratio"] = _real(stat.ratio)
     report.summary["mean_cf_length"] = _real(mean_len)
-    return report
 
 
-def _cmd_dynamics(args) -> Report:
-    report = Report("dynamics", _common_params(args, ["x", "y", "trace", "budget"]))
+def _cmd_dynamics(args, report: Report) -> None:
+    """subtractive map orbit and step matrices"""
     run = cf_dynamics.dynamical_run(args.x, args.y, step_budget=args.budget)
+    if args.trace:
+        # The step matrices replay the orbit apart from dynamical_run's own update.
+        x, y = run.start
+        for step in range(1, run.step_count + 1):
+            step_matrix = TOP_MINUS_BOTTOM if x >= y else BOTTOM_MINUS_TOP
+            x, y = step_matrix.apply(x, y)
+            report.rows.append({"step": str(step), "x": str(x), "y": str(y)})
+        if (x, y) != run.terminal:
+            report.violations.append(f"replay ends at ({x}, {y}), not at {run.terminal}")
     report.summary["step_count"] = str(run.step_count)
     report.summary["terminal_x"] = str(run.terminal[0])
     report.summary["terminal_y"] = str(run.terminal[1])
@@ -193,25 +180,21 @@ def _cmd_dynamics(args) -> Report:
         str(v) for v in (product.m11, product.m12, product.m21, product.m22)
     )
     report.summary["determinant"] = str(product.determinant)
-    return report
 
 
-def _cmd_dedekind(args) -> Report:
-    report = Report("dedekind", _common_params(args, ["h", "k"]))
+def _cmd_dedekind(args, report: Report) -> None:
+    """exact Dedekind sum s(h, k)"""
     report.summary["value"] = rational_str(dedekind.dedekind_sum(args.h, args.k))
-    return report
 
 
-def _cmd_reciprocity_scan(args) -> Report:
+def _cmd_reciprocity_scan(args, report: Report) -> None:
+    """verify reciprocity on all coprime pairs up to --limit"""
     if args.limit is None:
         raise UsageError("reciprocity-scan needs --limit")
-    report = Report("reciprocity-scan", _common_params(args, ["limit"]))
     pairs = 0
-    from math import gcd as _g
-
     for k in range(1, args.limit + 1):
         for h in range(1, k):
-            if _g(h, k) != 1:
+            if gcd(h, k) != 1:
                 continue
             pairs += 1
             residual = dedekind.reciprocity_residual(h, k)
@@ -221,51 +204,43 @@ def _cmd_reciprocity_scan(args) -> Report:
                 )
     report.summary["pairs_checked"] = str(pairs)
     report.summary["nonzero_residuals"] = str(len(report.violations))
-    return report
 
 
-def _cmd_perfect(args) -> Report:
+def _cmd_perfect(args, report: Report) -> None:
+    """perfect-number certificate or scan"""
     if (args.p is None) == (args.scan is None):
         raise UsageError("perfect needs an exponent or --scan, not both")
-    report = Report("perfect", _common_params(args, ["p", "scan", "budget"]))
     if args.scan is not None:
         for n, p in propositions.perfect_scan(args.scan):
             report.rows.append({"n": str(n), "p": str(p)})
         report.summary["count"] = str(len(report.rows))
-        return report
-    try:
-        cert = propositions.perfect_from_mersenne(args.p, step_budget=args.budget)
-    except HypothesisFailedError as exc:
-        report.violations.append(str(exc))
-        return report
+        return
+    cert = propositions.perfect_from_mersenne(args.p, step_budget=args.budget)
     report.summary["mersenne"] = str(cert.mersenne)
     report.summary["value"] = str(cert.value)
     report.summary["sigma"] = str(cert.sigma_value)
-    return report
 
 
-def _cmd_euclid_extend(args) -> Report:
-    report = Report("euclid-extend", _common_params(args, ["primes", "budget"]))
+def _cmd_euclid_extend(args, report: Report) -> None:
+    """a prime outside any finite list"""
     extension = propositions.euclid_prime_extension(args.primes, step_budget=args.budget)
     report.summary["e"] = str(extension.e_value)
     report.summary["new_prime"] = str(extension.new_prime)
-    return report
 
 
-def _cmd_wseq(args) -> Report:
-    report = Report("wseq", _common_params(args, ["values"]))
+def _cmd_wseq(args, report: Report) -> None:
+    """least coprime witness of a sequence"""
     result = sequences.w_witness(args.values)
     is_w = result.witness_index is not None
     report.summary["is_w"] = _bool(is_w)
     report.summary["witness_index"] = str(result.witness_index) if is_w else "none"
     report.summary["witness_value"] = str(result.witness_value) if is_w else "none"
-    return report
 
 
-def _cmd_interval_equiv(args) -> Report:
+def _cmd_interval_equiv(args, report: Report) -> None:
+    """prime between squares vs coprime witness window"""
     if (args.m is None) == (args.scan is None):
         raise UsageError("interval-equiv needs m or --scan, not both")
-    report = Report("interval-equiv", _common_params(args, ["m", "scan"]))
     if args.scan is not None:
         mismatches = 0
         for m in range(1, args.scan + 1):
@@ -277,7 +252,7 @@ def _cmd_interval_equiv(args) -> Report:
                 )
         report.summary["checked"] = str(args.scan)
         report.summary["mismatches"] = str(mismatches)
-        return report
+        return
     prime_exists, is_w = sequences.prime_interval_equivalence(args.m)
     report.summary["prime_exists"] = _bool(prime_exists)
     report.summary["is_w"] = _bool(is_w)
@@ -286,16 +261,15 @@ def _cmd_interval_equiv(args) -> Report:
         report.violations.append(
             f"m={args.m}: prime_exists={_bool(prime_exists)} is_w={_bool(is_w)}"
         )
-    return report
 
 
-def _cmd_grimm(args) -> Report:
+def _cmd_grimm(args, report: Report) -> None:
+    """distinct prime divisors for composite runs"""
     single = args.m is not None or args.n is not None
     if single and (args.m is None or args.n is None):
         raise UsageError("grimm needs both m and n for a single window")
     if single == (args.scan is not None):
         raise UsageError("grimm needs either m n or --scan")
-    report = Report("grimm", _common_params(args, ["m", "n", "scan"]))
     if args.scan is not None:
         matched_runs = 0
         for m, n, matched, assignment, validated in sequences.grimm_scan(args.scan):
@@ -314,174 +288,127 @@ def _cmd_grimm(args) -> Report:
                 )
         report.summary["runs"] = str(len(report.rows))
         report.summary["matched_runs"] = str(matched_runs)
-        return report
+        return
     result = sequences.grimm_assign(args.m, args.n)
     if result is None:
         report.summary["matched"] = "false"
         report.violations.append(
             f"run {args.m}+1..{args.m}+{args.n} admits no distinct prime assignment"
         )
-        return report
+        return
     validated = sequences.verify_assignment(result)
     report.summary["matched"] = "true"
     report.summary["assignment"] = ",".join(str(p) for p in result.assignment)
     report.summary["validated"] = _bool(validated)
     if not validated:
         report.violations.append("assignment failed independent re-validation")
-    return report
 
 
-def _cmd_nonw(args) -> Report:
+def _cmd_nonw(args, report: Report) -> None:
+    """longest witness-free run from m+1"""
     bound = args.max if args.max is not None else sequences.default_window_bound(args.m)
-    report = Report("nonw", _common_params(args, ["m", "max"]))
     result = sequences.non_w_max_run(args.m, bound)
     report.summary["bound"] = str(bound)
     report.summary["longest_run"] = str(result)
-    return report
 
 
-def _add_output_flags(parser) -> None:
-    parser.add_argument("--format", choices=["text", "report"], default="text")
-    parser.add_argument("--out", default=None, help="write the output to this path")
+class Command(NamedTuple):
+    """One subcommand, named "group leaf" when nested. Arguments read like a
+    usage line: "m? --scan" is an integer positional m with nargs "?" and an
+    integer option --scan (see _OPTIONS for the others); each is echoed as a
+    report parameter. The handler's docstring is its help line."""
+
+    name: str
+    arguments: str
+    handler: Callable[[argparse.Namespace, Report], None]
+
+
+_OPTIONS = {
+    "--method": {"choices": ["subtractive", "remainder"], "default": "remainder"},
+    "--trace": {"action": "store_true"},
+}
+
+# In --help order. Handlers look primitives up through their module at call
+# time (euclid.xgcd), so that wrapping a module attribute reaches every call.
+COMMANDS = (
+    Command("gcd", "a b --method --trace --budget", _cmd_gcd),
+    Command("xgcd", "a b", _cmd_xgcd),
+    Command("div-from-bezout", "a b --x --y --g --budget", _cmd_div_from_bezout),
+    Command("lowest-terms", "a b", _cmd_lowest_terms),
+    Command("cf", "a b", _cmd_cf),
+    Command("stats yao-knuth", "a --budget", _cmd_yao_knuth),
+    Command("dynamics", "x y --trace --budget", _cmd_dynamics),
+    Command("dedekind", "h k", _cmd_dedekind),
+    Command("reciprocity-scan", "--limit", _cmd_reciprocity_scan),
+    Command("perfect", "p? --scan --budget", _cmd_perfect),
+    Command("euclid-extend", "primes* --budget", _cmd_euclid_extend),
+    Command("wseq", "values+", _cmd_wseq),
+    Command("interval-equiv", "m? --scan", _cmd_interval_equiv),
+    Command("grimm", "m? n? --scan", _cmd_grimm),
+    Command("nonw", "m --max", _cmd_nonw),
+)
+
+_GROUPS = {"stats": ("corpus statistics", "stat")}  # group -> (help, dest of its choice)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="euclidkit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gcd", help="gcd with a replayable trace")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--method", choices=["subtractive", "remainder"], default="remainder")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_gcd)
-
-    p = subs.add_parser("xgcd", help="Bezout certificate by back-substitution")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_xgcd)
-
-    p = subs.add_parser(
-        "div-from-bezout", help="quotient and remainder rebuilt from a certificate"
-    )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_div_from_bezout)
-
-    p = subs.add_parser("lowest-terms", help="reduce a pair by its gcd")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_lowest_terms)
-
-    p = subs.add_parser("cf", help="continued fraction of a/b and its round trip")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cf)
-
-    p = subs.add_parser("stats", help="corpus statistics")
-    stats_subs = p.add_subparsers(dest="stat", required=True)
-    q = stats_subs.add_parser("yao-knuth", help="sum of all partial quotients up to a")
-    q.add_argument("a", type=int)
-    q.add_argument("--budget", type=int, default=None)
-    _add_output_flags(q)
-    q.set_defaults(handler=_cmd_yao_knuth)
-
-    p = subs.add_parser("dynamics", help="subtractive map orbit and step matrices")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_dynamics)
-
-    p = subs.add_parser("dedekind", help="exact Dedekind sum s(h, k)")
-    p.add_argument("h", type=int)
-    p.add_argument("k", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_dedekind)
-
-    p = subs.add_parser(
-        "reciprocity-scan", help="verify reciprocity on all coprime pairs up to --limit"
-    )
-    p.add_argument("--limit", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_reciprocity_scan)
-
-    p = subs.add_parser("perfect", help="perfect-number certificate or scan")
-    p.add_argument("p", type=int, nargs="?", default=None)
-    p.add_argument("--scan", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_perfect)
-
-    p = subs.add_parser("euclid-extend", help="a prime outside any finite list")
-    p.add_argument("primes", type=int, nargs="*")
-    p.add_argument("--budget", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_euclid_extend)
-
-    p = subs.add_parser("wseq", help="least coprime witness of a sequence")
-    p.add_argument("values", type=int, nargs="+")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_wseq)
-
-    p = subs.add_parser(
-        "interval-equiv", help="prime between squares vs coprime witness window"
-    )
-    p.add_argument("m", type=int, nargs="?", default=None)
-    p.add_argument("--scan", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_interval_equiv)
-
-    p = subs.add_parser("grimm", help="distinct prime divisors for composite runs")
-    p.add_argument("m", type=int, nargs="?", default=None)
-    p.add_argument("n", type=int, nargs="?", default=None)
-    p.add_argument("--scan", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_grimm)
-
-    p = subs.add_parser("nonw", help="longest witness-free run from m+1")
-    p.add_argument("m", type=int)
-    p.add_argument("--max", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_nonw)
-
+    nested = {"": subs}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition(" ")
+        if group not in nested:
+            group_help, dest = _GROUPS[group]
+            group_parser = subs.add_parser(group, help=group_help)
+            nested[group] = group_parser.add_subparsers(dest=dest, required=True)
+        p = nested[group].add_parser(leaf, help=command.handler.__doc__)
+        for token in command.arguments.split():
+            flag = token.rstrip("?*+")
+            options = _OPTIONS.get(flag, {"type": int})
+            if flag != token:
+                options = {**options, "nargs": token[len(flag) :]}
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=["text", "report"], default="text")
+        p.add_argument("--out", default=None, help="write the output to this path")
+        p.set_defaults(subcommand=command)
     return parser
+
+
+def _parameters(args, command: Command) -> dict[str, str]:
+    """The declared arguments as given: None is left out, a bool reads
+    true/false, a list is comma-joined; --out only appears when given."""
+    params = {"format": args.format}
+    if args.out:
+        params["out"] = args.out
+    for name in (token.strip("-?*+") for token in command.arguments.split()):
+        value = getattr(args, name)
+        if isinstance(value, bool):
+            params[name] = _bool(value)
+        elif isinstance(value, list):
+            params[name] = ",".join(str(v) for v in value)
+        elif value is not None:
+            params[name] = str(value)
+    return params
 
 
 def execute(argv) -> tuple[int, Report | None]:
     """Run one invocation; returns (exit_code, report)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except UsageError as exc:
         return 2, Report("usage", violations=[str(exc)])
     except SystemExit as exc:  # --help already printed its text
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code, None
-    command = getattr(args, "command", "usage")
+        return exc.code, None
+    command = args.subcommand
+    report = Report(command.name, _parameters(args, command))
     try:
-        report = args.handler(args)
-    except UsageError as exc:
-        return 2, Report(command, violations=[str(exc)])
-    except (DomainError, CertificateMismatchError) as exc:
-        return 2, Report(command, violations=[str(exc)])
-    except HypothesisFailedError as exc:
-        return 1, Report(command, violations=[str(exc)])
+        command.handler(args, report)
+    except HypothesisFailedError as exc:  # a checked property failed: report it
+        report.violations.append(str(exc))
+    except (UsageError, DomainError, CertificateMismatchError, ZeroDivisionError) as exc:
+        return 2, Report(command.name, violations=[str(exc)])
     except ResourceLimitError as exc:
-        return 3, Report(command, violations=[str(exc)])
-    except ZeroDivisionError as exc:
-        return 2, Report(command, violations=[str(exc)])
+        return 3, Report(command.name, violations=[str(exc)])
     return (1 if report.violations else 0), report
 
 
@@ -501,7 +428,3 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,8 +12,6 @@ from math import isqrt
 
 from .errors import DomainError, ResourceLimitError
 
-ExactRational = Fraction
-
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_FACTOR_BUDGET = 10**7
 

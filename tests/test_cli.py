@@ -1,12 +1,14 @@
 """Golden transcripts, exit codes, and format agreement for the command line."""
 
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from euclidkit import cli
+from euclidkit import cf_dynamics, cli
 
 GCD_REPORT_GOLDEN = """\
 command: gcd
@@ -85,6 +87,44 @@ summary terminal_y: 1
 summary gcd: 1
 summary product: 13,-21,-8,13
 summary determinant: 1
+"""
+
+DYNAMICS_TRACE_REPORT_GOLDEN = """\
+command: dynamics
+param format: report
+param trace: true
+param x: 21
+param y: 13
+row step=1 x=8 y=13
+row step=2 x=8 y=5
+row step=3 x=3 y=5
+row step=4 x=3 y=2
+row step=5 x=1 y=2
+row step=6 x=1 y=1
+row step=7 x=0 y=1
+summary step_count: 7
+summary terminal_x: 0
+summary terminal_y: 1
+summary gcd: 1
+summary product: 13,-21,-8,13
+summary determinant: 1
+"""
+
+DYNAMICS_TRACE_TEXT_GOLDEN = """\
+dynamics  format=text trace=true x=21 y=13
+  step=1 x=8 y=13
+  step=2 x=8 y=5
+  step=3 x=3 y=5
+  step=4 x=3 y=2
+  step=5 x=1 y=2
+  step=6 x=1 y=1
+  step=7 x=0 y=1
+step_count = 7
+terminal_x = 0
+terminal_y = 1
+gcd = 1
+product = 13,-21,-8,13
+determinant = 1
 """
 
 DEDEKIND_REPORT_GOLDEN = """\
@@ -448,6 +488,25 @@ def test_scan_and_statistics_report_goldens(capsys, argv, golden):
     assert run_main(capsys, *argv, "--format", "report") == (0, golden, "")
 
 
+def test_dynamics_trace_goldens(capsys):
+    argv = ["dynamics", "21", "13", "--trace"]
+    assert run_main(capsys, *argv) == (0, DYNAMICS_TRACE_TEXT_GOLDEN, "")
+    assert run_main(capsys, *argv, "--format", "report") == (
+        0,
+        DYNAMICS_TRACE_REPORT_GOLDEN,
+        "",
+    )
+
+
+def test_dynamics_trace_flags_a_run_the_step_matrices_do_not_replay(capsys, monkeypatch):
+    run = cf_dynamics.dynamical_run(21, 13)
+    wrong = cf_dynamics.DynamicsRun(run.start, run.step_count, (1, 0), run.product)
+    monkeypatch.setattr(cf_dynamics, "dynamical_run", lambda *args, **kwargs: wrong)
+    code, out, _ = run_main(capsys, "dynamics", "21", "13", "--trace")
+    assert code == 1
+    assert out.endswith("VIOLATION: replay ends at (0, 1), not at (1, 0)\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -557,6 +616,14 @@ def test_usage_error_goldens(capsys, argv, golden):
     assert run_main(capsys, *argv) == (2, "", golden)
 
 
+def test_nested_command_error_names_the_full_command(capsys):
+    assert run_main(capsys, "stats", "yao-knuth", "1") == (
+        2,
+        "",
+        "stats yao-knuth\nVIOLATION: yao_knuth_stat needs a >= 2, got 1\n",
+    )
+
+
 def test_help_golden(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     assert run_main(capsys, "--help") == (0, HELP_GOLDEN, "")
@@ -642,12 +709,14 @@ FORMAT_IDENTITY_COMMANDS = [
 
 def test_text_and_report_formats_carry_identical_values():
     for argv in FORMAT_IDENTITY_COMMANDS:
-        text_run = run_cli(*argv)
-        report_run = run_cli(*argv, "--format", "report")
-        assert text_run.returncode == report_run.returncode, argv
-        t_cmd, t_params, t_rows, t_summary, t_violations = _parse_text(text_run.stdout)
+        text_code, text_report = cli.execute(argv)
+        report_code, report_report = cli.execute([*argv, "--format", "report"])
+        assert text_code == report_code, argv
+        t_cmd, t_params, t_rows, t_summary, t_violations = _parse_text(
+            cli.render_text(text_report)
+        )
         r_cmd, r_params, r_rows, r_summary, r_violations = _parse_report(
-            report_run.stdout
+            cli.render_report(report_report)
         )
         assert t_cmd == r_cmd, argv
         t_params.pop("format")
@@ -683,3 +752,22 @@ def test_reports_replay_byte_identically_across_hash_seeds():
         third = run_cli(*argv, hash_seed="0")
         assert first.returncode == second.returncode == third.returncode, argv
         assert first.stdout == second.stdout == third.stdout, argv
+
+
+# ---------------------------------------------------------------------------
+# the README's command block and the command table agree
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_lines_parse_and_cover_every_command():
+    parser = cli._build_parser()
+    documented = set()
+    for argv in _readme_command_lines():
+        assert argv[0] == "euclidkit", argv
+        documented.add(parser.parse_args(argv[1:]).subcommand.name)
+    assert documented == {command.name for command in cli.COMMANDS}
