@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
-from .euclid import gcd_remainder
+from .euclid import _integer, _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
 DEFAULT_STEP_BUDGET = 10**6
@@ -148,27 +148,39 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
 
     Ties take the first branch. The terminal pair is (0, d) or (d, 0) with
     d = gcd, and product applied to the start gives the terminal.
+
+    The orbit follows the division chain of the pair, one quotient run at a
+    time: q steps on one coordinate are one left-multiplication by
+    [[1, -q], [0, 1]] or [[1, 0], [-q, 1]], so the orbit takes sum(q) steps.
     """
+    _integer(x, "x")
+    _integer(y, "y")
     if x < 0 or y < 0:
         raise DomainError(f"dynamical_run needs naturals, got ({x}, {y})")
     if x == 0 and y == 0:
         raise DomainError("dynamical_run needs a nonzero coordinate")
+    if not (x and y):
+        return DynamicsRun((x, y), 0, (x, y), IDENTITY)
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    cx, cy = x, y
+    runs = list(_quotient_runs(x, y))
+    steps = sum(q for _, _, q, _ in runs)
+    if steps > budget:
+        raise ResourceLimitError(f"dynamical_run({x}, {y}): exceeded {budget} steps")
     p11, p12, p21, p22 = 1, 0, 0, 1
-    steps = 0
-    while cx and cy:
-        steps += 1
-        if steps > budget:
-            raise ResourceLimitError(
-                f"dynamical_run({x}, {y}): exceeded {budget} steps"
-            )
-        if cx >= cy:
-            cx -= cy
-            p11 -= p21  # left-multiply by TOP_MINUS_BOTTOM
-            p12 -= p22
+    top = True  # the chain of x/y starts on x, with q = 0 if x < y
+    for _, _, q, r in runs:
+        if top:
+            p11 -= q * p21  # left-multiply by TOP_MINUS_BOTTOM ** q
+            p12 -= q * p22
         else:
-            cy -= cx
-            p21 -= p11  # left-multiply by BOTTOM_MINUS_TOP
-            p22 -= p12
-    return DynamicsRun((x, y), steps, (cx, cy), UnimodularMatrix(p11, p12, p21, p22))
+            # (y - 1) // x steps on y: a run that ends in the tie (d, d)
+            # stops one short, and the first branch takes the last step
+            jump = q if r else q - 1
+            p21 -= jump * p11  # left-multiply by BOTTOM_MINUS_TOP ** jump
+            p22 -= jump * p12
+            if not r:
+                p11 -= p21  # then by TOP_MINUS_BOTTOM
+                p12 -= p22
+        top = not top
+    product = UnimodularMatrix(p11, p12, p21, p22)
+    return DynamicsRun((x, y), steps, (0, runs[-1][1]), product)

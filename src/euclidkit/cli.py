@@ -211,7 +211,7 @@ def _cmd_perfect(args, report: Report) -> None:
     if (args.p is None) == (args.scan is None):
         raise UsageError("perfect needs an exponent or --scan, not both")
     if args.scan is not None:
-        for n, p in propositions.perfect_scan(args.scan):
+        for n, p in propositions.perfect_scan(args.scan, sieve_budget=args.budget):
             report.rows.append({"n": str(n), "p": str(p)})
         report.summary["count"] = str(len(report.rows))
         return

@@ -2,12 +2,17 @@
 reconstructed from a gcd identity certificate.
 
 The subtractive and remainder forms return full step traces so callers can
-replay and audit every reduction; the extended form fixes its coefficients by
-back-substitution through the remainder trace, making them deterministic.
+replay and audit every reduction; the subtractive trace is stored as quotient
+runs and builds each step when it is read. The extended form fixes its
+coefficients by back-substitution through the remainder trace, making them
+deterministic.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import CertificateMismatchError, DomainError, ResourceLimitError
@@ -28,16 +33,87 @@ class EuclidStep:
     remainder: int
 
 
+class SubtractiveSteps(Sequence):
+    """The steps of a subtractive trace, stored as runs and built when read.
+
+    A run (larger, smaller, count) stands for the steps
+    EuclidStep(larger - i*smaller, smaller, None, larger - (i+1)*smaller)
+    for i in range(count). Equal step sequences have equal runs, and the
+    sequence also equals the tuple of its steps (and hashes like it, which
+    builds that tuple).
+    """
+
+    __slots__ = ("_runs", "_starts", "_len")
+
+    def __init__(self, runs) -> None:
+        self._runs = tuple(run for run in runs if run[2])
+        self._starts: list[int] = []
+        total = 0
+        for _, _, count in self._runs:
+            self._starts.append(total)
+            total += count
+        self._len = total
+
+    @staticmethod
+    def _step(larger: int, smaller: int, i: int) -> EuclidStep:
+        larger -= i * smaller
+        return EuclidStep(larger, smaller, None, larger - smaller)
+
+    @property
+    def length(self) -> int:
+        """The number of steps; len() gives the same up to sys.maxsize."""
+        return self._len
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self._len)))
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("subtractive step index out of range")
+        k = bisect_right(self._starts, i) - 1
+        larger, smaller, _ = self._runs[k]
+        return self._step(larger, smaller, i - self._starts[k])
+
+    def __iter__(self) -> Iterator[EuclidStep]:
+        for larger, smaller, count in self._runs:
+            for i in range(count):
+                yield self._step(larger, smaller, i)
+
+    def __reversed__(self) -> Iterator[EuclidStep]:
+        for larger, smaller, count in reversed(self._runs):
+            for i in reversed(range(count)):
+                yield self._step(larger, smaller, i)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SubtractiveSteps):
+            return self._runs == other._runs
+        if isinstance(other, tuple):
+            return len(other) == self._len and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"SubtractiveSteps(runs={self._runs!r}, len={self._len})"
+
+
 @dataclass(frozen=True)
 class EuclidTrace:
     """Ordered reduction steps for one gcd computation."""
 
     method: str  # "subtractive" or "remainder"
-    steps: tuple[EuclidStep, ...]
+    steps: Sequence[EuclidStep]  # a tuple, or SubtractiveSteps for "subtractive"
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        steps = self.steps
+        return steps.length if isinstance(steps, SubtractiveSteps) else len(steps)
 
     def quotients(self) -> list[int]:
         if self.method != "remainder":
@@ -59,10 +135,15 @@ class BezoutCertificate:
         return self.a * self.x + self.b * self.y == self.g
 
 
-def _positive(value: int, name: str) -> int:
-    if not isinstance(value, int):
+def _integer(value: int, name: str) -> int:
+    # bool is an int subclass, but True is not a number any caller means
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < 1:
+    return value
+
+
+def _positive(value: int, name: str) -> int:
+    if _integer(value, name) < 1:
         raise DomainError(f"{name} must be at least 1, got {value}")
     return value
 
@@ -74,38 +155,50 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def _quotient_runs(a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
+    """The division chain of a/b as (larger, smaller, q, r) runs, with
+    larger = smaller*q + r: the partial quotients of a/b, in order.
+
+    A run also stands for q subtractions of smaller from larger, ending at r.
+    For a < b the first run is (a, b, 0, a). The last run has r = 0 and its
+    smaller is the gcd. Needs a, b >= 1.
+    """
+    while True:
+        q, r = divmod(a, b)
+        yield a, b, q, r
+        if not r:
+            return
+        a, b = b, r
+
+
 def gcd_subtractive(
     a: int, b: int, *, step_budget: int | None = None
 ) -> tuple[int, EuclidTrace]:
-    """Gcd by repeated subtraction, stopping when the pair becomes equal."""
+    """Gcd by repeated subtraction, stopping when the pair becomes equal.
+
+    Each quotient run of q subtractions is stored whole, so the trace costs
+    one division per run; the last run stops at the equal pair, one short
+    of its quotient, for sum(q) - 1 steps in all. The order of a and b does
+    not matter: for a < b the chain starts with a run of no steps.
+    """
     _positive(a, "a")
     _positive(b, "b")
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    hi, lo = (a, b) if a >= b else (b, a)
-    steps: list[EuclidStep] = []
-    while hi != lo:
-        if len(steps) >= budget:
-            raise ResourceLimitError(
-                f"gcd_subtractive({a}, {b}): exceeded {budget} subtraction steps"
-            )
-        diff = hi - lo
-        steps.append(EuclidStep(hi, lo, None, diff))
-        hi, lo = (lo, diff) if lo >= diff else (diff, lo)
-    return hi, EuclidTrace("subtractive", tuple(steps))
+    runs = [(hi, lo, q if r else q - 1) for hi, lo, q, r in _quotient_runs(a, b)]
+    steps = SubtractiveSteps(runs)
+    if steps.length > budget:
+        raise ResourceLimitError(
+            f"gcd_subtractive({a}, {b}): exceeded {budget} subtraction steps"
+        )
+    return runs[-1][1], EuclidTrace("subtractive", steps)
 
 
 def gcd_remainder(a: int, b: int) -> tuple[int, EuclidTrace]:
     """Gcd by repeated division, with the full quotient/remainder chain."""
     _positive(a, "a")
     _positive(b, "b")
-    steps: list[EuclidStep] = []
-    x, y = a, b
-    while True:
-        q, r = x // y, x % y
-        steps.append(EuclidStep(x, y, q, r))
-        if r == 0:
-            return y, EuclidTrace("remainder", tuple(steps))
-        x, y = y, r
+    steps = tuple([EuclidStep(*run) for run in _quotient_runs(a, b)])
+    return steps[-1].smaller, EuclidTrace("remainder", steps)
 
 
 def xgcd(a: int, b: int) -> BezoutCertificate:

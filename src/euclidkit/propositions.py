@@ -9,9 +9,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, HypothesisFailedError
+from .errors import DomainError, HypothesisFailedError, ResourceLimitError
 from .euclid import gcd_subtractive
-from .integers import lucas_lehmer, sigma, smallest_prime_factor
+from .integers import DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
 
 MERSENNE_EXPONENT_CAP = 61  # scan ceiling for exponent searches
 
@@ -150,14 +150,18 @@ def _sigma_sieve(limit: int) -> np.ndarray:
     return sig
 
 
-def perfect_scan(limit: int) -> list[tuple[int, int]]:
+def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
     """All (n, p) with n <= limit perfect, by a batched divisor-sum sieve.
 
     Every sieve hit is re-validated with classify_perfect, which recomputes
     sigma by trial division, so the fast path cannot smuggle in a wrong hit.
+    A limit above sieve_budget is refused before anything is allocated.
     """
     if limit < 1:
         raise DomainError(f"perfect_scan needs limit >= 1, got {limit}")
+    budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
+    if limit > budget:
+        raise ResourceLimitError(f"perfect_scan({limit}): sieve limit is {budget}")
     sig = _sigma_sieve(limit)
     hits = np.flatnonzero(sig == 2 * np.arange(limit + 1, dtype=np.int64))
     out: list[tuple[int, int]] = []

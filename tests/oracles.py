@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to fix expected values in the tests.
 
 Nothing here shares code with the package: gcds come from divisor
-enumeration, divisions from repeated subtraction, primality from bare trial
-division, divisor sums from scanning every candidate divisor, Dedekind sums
-from literal term-by-term rational arithmetic, and window assignments from
-exhaustive backtracking.
+enumeration, divisions and subtractive traces from repeated subtraction,
+orbits of the subtractive map from single steps and their matrix products,
+primality from bare trial division, divisor sums from scanning every
+candidate divisor, Dedekind sums from literal term-by-term rational
+arithmetic, and window assignments from exhaustive backtracking.
 """
 
 from __future__ import annotations
@@ -28,6 +29,43 @@ def divmod_by_subtraction(a: int, b: int) -> tuple[int, int]:
         r -= b
         q += 1
     return q, r
+
+
+def subtractive_steps_by_loop(a: int, b: int) -> list[tuple[int, int, None, int]]:
+    """Steps (larger, smaller, None, larger - smaller) of the subtractive gcd,
+    one subtraction at a time, until the sorted pair is equal."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    steps = []
+    while hi != lo:
+        diff = hi - lo
+        steps.append((hi, lo, None, diff))
+        hi, lo = (lo, diff) if lo >= diff else (diff, lo)
+    return steps
+
+
+def dynamics_by_loop(x: int, y: int) -> tuple[int, tuple[int, int], tuple[int, int, int, int]]:
+    """(step count, terminal pair, product m11, m12, m21, m22) of the map
+    (x, y) -> (x - y, y) if x >= y else (x, y - x), run one step at a time
+    and multiplying each step matrix onto the product from the left."""
+    product = (1, 0, 0, 1)
+    steps = 0
+    while x and y:
+        if x >= y:
+            x -= y
+            step = (1, -1, 0, 1)
+        else:
+            y -= x
+            step = (1, 0, -1, 1)
+        s11, s12, s21, s22 = step
+        p11, p12, p21, p22 = product
+        product = (
+            s11 * p11 + s12 * p21,
+            s11 * p12 + s12 * p22,
+            s21 * p11 + s22 * p21,
+            s21 * p12 + s22 * p22,
+        )
+        steps += 1
+    return steps, (x, y), product
 
 
 def is_prime_trial(n: int) -> bool:
@@ -74,15 +112,19 @@ def cf_value_by_fractions(quotients: list[int]) -> Fraction:
     return value
 
 
-def quotient_total_by_cf(a: int) -> int:
-    """Sum of all partial quotients of a/b over b = 1..a, via plain divmod chains."""
+def quotient_sum_by_divmod(a: int, b: int) -> int:
+    """Sum of the partial quotients of a/b, via a plain divmod chain."""
     total = 0
-    for b in range(1, a + 1):
-        x, y = a, b
-        while y:
-            total += x // y
-            x, y = y, x % y
+    while b:
+        q, r = divmod(a, b)
+        total += q
+        a, b = b, r
     return total
+
+
+def quotient_total_by_cf(a: int) -> int:
+    """Sum of all partial quotients of a/b over b = 1..a."""
+    return sum(quotient_sum_by_divmod(a, b) for b in range(1, a + 1))
 
 
 def witness_by_pair_matrix(values: list[int]) -> int | None:

@@ -20,7 +20,13 @@ from euclidkit import (
     yao_knuth_stat,
 )
 from euclidkit.cf_dynamics import BOTTOM_MINUS_TOP, IDENTITY, TOP_MINUS_BOTTOM
-from oracles import cf_value_by_fractions, quotient_total_by_cf
+from oracles import (
+    cf_value_by_fractions,
+    dynamics_by_loop,
+    quotient_sum_by_divmod,
+    quotient_total_by_cf,
+    subtractive_steps_by_loop,
+)
 
 # ---------------------------------------------------------------------------
 # continued fractions
@@ -161,11 +167,46 @@ def test_bezout_coefficients_read_off_the_product_row_up_to_200():
 
 
 def test_dynamics_step_count_is_subtractive_plus_trailing_up_to_200():
-    # from the equal pair the map takes exactly one more step to a zero coordinate
+    # from the equal pair the map takes exactly one more step to a zero coordinate;
+    # both counts come from quotient runs, so the loop oracles check the identity
     for x in range(1, 201):
         for y in range(1, 201):
             _, trace = gcd_subtractive(x, y)
-            assert dynamical_run(x, y).step_count == trace.step_count + 1
+            count = dynamical_run(x, y).step_count
+            assert count == trace.step_count + 1
+            assert count == dynamics_by_loop(x, y)[0] == len(subtractive_steps_by_loop(x, y)) + 1
+
+
+def test_dynamical_run_matches_the_loop_oracle_up_to_150():
+    for x in range(0, 151):
+        for y in range(0, 151):
+            if x == y == 0:
+                continue
+            run = dynamical_run(x, y)
+            m = run.product
+            assert run.start == (x, y)
+            assert (run.step_count, run.terminal, (m.m11, m.m12, m.m21, m.m22)) == (
+                dynamics_by_loop(x, y)
+            )
+
+
+def test_dynamics_budget_edge_is_sum_of_quotients():
+    # 1071/462 = [2; 3, 7], so the orbit has 2 + 3 + 7 = 12 steps
+    assert dynamical_run(1071, 462, step_budget=12).step_count == 12
+    assert dynamical_run(462, 1071, step_budget=12).step_count == 12
+    with pytest.raises(ResourceLimitError) as exc:
+        dynamical_run(1071, 462, step_budget=11)
+    assert str(exc.value) == "dynamical_run(1071, 462): exceeded 11 steps"
+
+
+def test_dynamics_on_100_digit_coprime_inputs():
+    x, y = 3**209, 2**332
+    assert len(str(x)) == len(str(y)) == 100
+    run = dynamical_run(x, y)
+    assert run.step_count == quotient_sum_by_divmod(y, x)
+    assert run.terminal == (0, 1)
+    assert run.product.determinant == 1
+    assert run.product.apply(x, y) == run.terminal
 
 
 def test_matrix_algebra():
@@ -190,3 +231,10 @@ def test_dynamics_domain_and_budget():
         dynamical_run(-1, 5)
     with pytest.raises(ResourceLimitError):
         dynamical_run(10**6, 1, step_budget=10)
+
+
+def test_dynamics_rejects_bool_and_non_integer_coordinates():
+    with pytest.raises(DomainError, match="x must be an integer, got float"):
+        dynamical_run(2.5, 1)
+    with pytest.raises(DomainError, match="x must be an integer, got bool"):
+        dynamical_run(True, 1)

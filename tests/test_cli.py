@@ -616,6 +616,14 @@ def test_usage_error_goldens(capsys, argv, golden):
     assert run_main(capsys, *argv) == (2, "", golden)
 
 
+def test_perfect_scan_honours_budget(capsys):
+    assert run_main(capsys, "perfect", "--scan", "10000", "--budget", "1") == (
+        3,
+        "",
+        "perfect\nVIOLATION: perfect_scan(10000): sieve limit is 1\n",
+    )
+
+
 def test_nested_command_error_names_the_full_command(capsys):
     assert run_main(capsys, "stats", "yao-knuth", "1") == (
         2,

@@ -4,13 +4,14 @@ import random
 from math import gcd as builtin_gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euclidkit import (
     BezoutCertificate,
     CertificateMismatchError,
     DomainError,
+    EuclidStep,
     ResourceLimitError,
     division_from_bezout,
     gcd_many,
@@ -20,7 +21,7 @@ from euclidkit import (
     lowest_terms,
     xgcd,
 )
-from oracles import gcd_by_enumeration
+from oracles import gcd_by_enumeration, quotient_sum_by_divmod, subtractive_steps_by_loop
 
 # ---------------------------------------------------------------------------
 # frozen examples
@@ -121,6 +122,77 @@ def test_subtractive_steps_are_differences_of_sorted_pairs():
                 assert step.quotient is None
                 assert step.remainder == step.larger - step.smaller
             assert g == builtin_gcd(a, b)
+
+
+def _fields(step):
+    return (step.larger, step.smaller, step.quotient, step.remainder)
+
+
+def test_subtractive_trace_matches_the_loop_oracle_up_to_150():
+    for a in range(1, 151):
+        for b in range(1, 151):
+            expected = subtractive_steps_by_loop(a, b)
+            _, trace = gcd_subtractive(a, b)
+            steps = trace.steps
+            n = len(expected)
+            assert len(steps) == trace.step_count == n
+            assert [_fields(step) for step in steps] == expected
+            assert [_fields(steps[i]) for i in range(-n, n)] == expected + expected
+            assert [_fields(step) for step in reversed(steps)] == expected[::-1]
+
+
+def test_subtractive_steps_slice_and_reject_out_of_range_indices():
+    _, trace = gcd_subtractive(1071, 462)
+    expected = tuple(trace.steps)
+    assert trace.steps[2:9:3] == expected[2:9:3]
+    assert trace.steps[::-1] == expected[::-1]
+    for index in (11, -12):
+        with pytest.raises(IndexError):
+            trace.steps[index]
+
+
+def test_subtractive_traces_keep_value_semantics():
+    first, second = gcd_subtractive(1071, 462)[1], gcd_subtractive(1071, 462)[1]
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.steps == tuple(first.steps)
+    assert tuple(first.steps) == first.steps
+    assert hash(first.steps) == hash(tuple(first.steps))
+    assert first != gcd_subtractive(462, 1071 + 462)[1]
+    assert gcd_subtractive(7, 7)[1] == gcd_subtractive(5, 5)[1]  # both empty
+    assert first.steps != list(first.steps)
+    assert repr(first.steps) == (
+        "SubtractiveSteps(runs=((1071, 462, 2), (462, 147, 3), (147, 21, 6)), len=11)"
+    )
+
+
+@settings(deadline=None)
+@given(
+    a=st.integers(10**199, 10**400 - 1),
+    b=st.integers(10**199, 10**400 - 1),
+    data=st.data(),
+)
+def test_long_subtractive_traces_count_and_chain_their_steps(a, b, data):
+    total = quotient_sum_by_divmod(a, b)
+    assume(total <= 10**5)
+    g, trace = gcd_subtractive(a, b)
+    steps = trace.steps
+    assert g == builtin_gcd(a, b)
+    assert len(steps) == total - 1
+    if not steps:
+        return
+    for _ in range(5):
+        i = data.draw(st.integers(0, len(steps) - 1))
+        step = steps[i]
+        assert step.remainder == step.larger - step.smaller > 0
+        if i + 1 < len(steps):
+            after = steps[i + 1]
+            assert (after.larger, after.smaller) == (
+                max(step.smaller, step.remainder),
+                min(step.smaller, step.remainder),
+            )
+        else:
+            assert step.smaller == step.remainder == g
 
 
 def test_scaling_lemma_up_to_50():
@@ -286,8 +358,37 @@ def test_zero_and_negative_arguments_are_domain_errors():
         gcd_many([3, 0])
 
 
+def test_bool_and_non_integer_arguments_are_domain_errors():
+    with pytest.raises(DomainError, match="a must be an integer, got bool"):
+        gcd_remainder(True, 1)
+    with pytest.raises(DomainError, match="b must be an integer, got bool"):
+        gcd_subtractive(1, True)
+    with pytest.raises(DomainError, match="a must be an integer, got float"):
+        gcd_subtractive(2.0, 1)
+
+
 def test_subtractive_budget_is_enforced():
     with pytest.raises(ResourceLimitError):
         gcd_subtractive(10**6, 1, step_budget=10)
     with pytest.raises(ResourceLimitError):
+        gcd_subtractive(10**40, 1)
+    with pytest.raises(ResourceLimitError):
         division_from_bezout(10**6, 1, xgcd(10**6, 1), step_budget=10)
+
+
+def test_subtractive_trace_longer_than_sys_maxsize():
+    g, trace = gcd_subtractive(10**40, 1, step_budget=10**40)
+    assert g == 1
+    assert trace.step_count == 10**40 - 1
+    assert trace.steps[0] == EuclidStep(10**40, 1, None, 10**40 - 1)
+    assert trace.steps[10**39] == EuclidStep(9 * 10**39, 1, None, 9 * 10**39 - 1)
+    assert trace.steps[-1] == EuclidStep(2, 1, None, 1)
+    assert next(reversed(trace.steps)) == trace.steps[-1]
+
+
+def test_subtractive_budget_edge_is_sum_of_quotients_minus_one():
+    # 1071/462 = [2; 3, 7], so the trace has 2 + 3 + 7 - 1 = 11 steps
+    assert gcd_subtractive(1071, 462, step_budget=11)[1].step_count == 11
+    with pytest.raises(ResourceLimitError) as exc:
+        gcd_subtractive(1071, 462, step_budget=10)
+    assert str(exc.value) == "gcd_subtractive(1071, 462): exceeded 10 subtraction steps"

@@ -151,6 +151,14 @@ def test_exhaustive_search_to_ten_million():
     assert perfect_scan(10**7) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
 
 
+def test_perfect_scan_honours_its_sieve_budget():
+    assert perfect_scan(10**4, sieve_budget=10**4) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
+    with pytest.raises(ResourceLimitError, match=r"perfect_scan\(10001\): sieve limit is 10000"):
+        perfect_scan(10**4 + 1, sieve_budget=10**4)
+    with pytest.raises(ResourceLimitError):
+        perfect_scan(10**7 + 1)
+
+
 def test_classify_agrees_with_scan_below_10000():
     found = {n for n, _ in perfect_scan(10**4)}
     for n in range(1, 10001):
