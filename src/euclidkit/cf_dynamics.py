@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
-from .euclid import _integer, _quotient_runs, gcd_remainder
+from .errors import DomainError, ResourceLimitError, _integer
+from .euclid import _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
 DEFAULT_STEP_BUDGET = 10**6
@@ -111,7 +111,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
     The pairs are taken as given, not reduced first. The prediction uses the
     natural logarithm.
     """
-    if a < 2:
+    if _integer(a, "a") < 2:
         raise DomainError(f"yao_knuth_stat needs a >= 2, got {a}")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:
@@ -128,7 +128,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
 
 def average_cf_length(a: int, *, scan_budget: int | None = None) -> float:
     """Mean number of division steps for a/b over b = 1..a (report-only)."""
-    if a < 2:
+    if _integer(a, "a") < 2:
         raise DomainError(f"average_cf_length needs a >= 2, got {a}")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 
 def sawtooth(x) -> Fraction:
@@ -27,9 +27,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     Evaluated in integer arithmetic over the common denominator 4*k*k:
     for a not a multiple of k, ((a/k)) = (2a - k) / (2k).
     """
-    if not isinstance(h, int) or not isinstance(k, int):
-        raise DomainError(f"dedekind_sum needs integers, got ({h!r}, {k!r})")
-    if k < 1:
+    _integer(h, "h")
+    if _integer(k, "k") < 1:
         raise DomainError(f"dedekind_sum needs k >= 1, got {k}")
     total = 0
     for a in range(1, k):
@@ -42,6 +41,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 def reciprocity_residual(h: int, k: int) -> Fraction:
     """s(h,k) + s(k,h) - ((h^2 + k^2 + 1)/(12hk) - 1/4); zero for coprime h, k."""
+    _integer(h, "h")
+    _integer(k, "k")
     if h < 1 or k < 1:
         raise DomainError(f"reciprocity_residual needs h, k >= 1, got ({h}, {k})")
     if _gcd(h, k) != 1:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check every
+layer validates its arguments with."""
 
 
 class DomainError(ValueError):
@@ -15,3 +16,10 @@ class CertificateMismatchError(ValueError):
 
 class HypothesisFailedError(ValueError):
     """A stated arithmetic hypothesis was checked and found false."""
+
+
+def _integer(value: int, name: str) -> int:
+    # bool is an int subclass, but True is not a number any caller means
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+    return value

@@ -10,12 +10,13 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import CertificateMismatchError, DomainError, ResourceLimitError
+from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -135,24 +136,10 @@ class BezoutCertificate:
         return self.a * self.x + self.b * self.y == self.g
 
 
-def _integer(value: int, name: str) -> int:
-    # bool is an int subclass, but True is not a number any caller means
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
-    return value
-
-
 def _positive(value: int, name: str) -> int:
     if _integer(value, name) < 1:
         raise DomainError(f"{name} must be at least 1, got {value}")
     return value
-
-
-def _gcd(a: int, b: int) -> int:
-    # lean remainder loop for internal use; public ops build traces
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _quotient_runs(a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
@@ -224,7 +211,7 @@ def gcd_many(values) -> int:
         _positive(v, "values[i]")
     g = vals[0]
     for v in vals[1:]:
-        g = _gcd(g, v)
+        g = math.gcd(g, v)
     return g
 
 
@@ -232,32 +219,41 @@ def lcm(a: int, b: int) -> int:
     """Least common multiple a*b / gcd(a, b)."""
     _positive(a, "a")
     _positive(b, "b")
-    return a // _gcd(a, b) * b
+    return a // math.gcd(a, b) * b
 
 
 def lowest_terms(a: int, b: int) -> tuple[int, int]:
     """The pair divided by its gcd; the result is coprime."""
     _positive(a, "a")
     _positive(b, "b")
-    g = _gcd(a, b)
+    g = math.gcd(a, b)
     return a // g, b // g
 
 
-def _subtractive_gcd_value(a: int, b: int, budget: int) -> int:
-    # division-free gcd used to validate certificates inside
-    # division_from_bezout, so that routine never divides at all
-    hi, lo = (a, b) if a >= b else (b, a)
-    steps = 0
-    while hi != lo:
-        steps += 1
-        if steps > budget:
-            raise ResourceLimitError(
-                f"gcd validation for ({a}, {b}) exceeded {budget} subtraction steps"
-            )
-        hi -= lo
-        if hi < lo:
-            hi, lo = lo, hi
-    return hi
+def _ladder(c: int, b: int, budget: int, context: Callable[[], str]) -> tuple[int, int]:
+    """(i, r) with c = i*b + r and 0 <= r < b, for c >= 0 and b >= 1, by
+    duplation: climb the rungs b, 2b, 4b, ... by addition, then subtract
+    greedily from the top rung down.
+
+    Only the top rung is kept; each rung on the way down is rebuilt as
+    b * 2**k, so memory stays linear in the size of c. Raises
+    ResourceLimitError once the climb takes more than budget doublings.
+    """
+    rung, k = b, 0
+    while rung + rung <= c:
+        rung += rung
+        k += 1
+        if k > budget:
+            raise ResourceLimitError(f"{context()} exceeded {budget} doubling steps")
+    i, r = 0, c
+    while k >= 0:
+        power = 2**k
+        rung = b * power
+        if rung <= r:
+            r -= rung
+            i += power
+        k -= 1
+    return i, r
 
 
 def division_from_bezout(
@@ -266,16 +262,12 @@ def division_from_bezout(
     """Quotient and remainder of a by b rebuilt from a Bezout certificate,
     using only comparison, addition, subtraction and multiplication.
 
-    The certificate is first shifted along (x, y) -> (x + b, y - a) until
-    x >= 0; that keeps a*x + b*y fixed. Writing g = gcd(a, b):
-
-    - x = 0 forces g = b, so b | a and the quotient is counted by
-      subtraction;
-    - x = 1 gives a = -y*b + g directly;
-    - x > 1 uses a = b*(-y - x + 1) + t with t = (x - 1)*(b - a) + g, split
-      on where t lands: in [0, b) it is the remainder; above b forces b > a;
-      equal to b means b | a; below 0 an ascending scan finds the least i
-      with i*b <= -t < (i+1)*b and reads the answer off that interval.
+    Every certificate a*x + b*y = g, whatever the sign of x, gives
+    a = b*(1 - x - y) + t with t = (x - 1)*(b - a) + g, so the quotient is
+    1 - x - y + floor(t/b) and the remainder is what that floor leaves of t.
+    The floor comes from a doubling ladder (_ladder), and so does the gcd
+    that validates g: a remainder chain whose remainders the ladder finds.
+    Each ladder may take step_budget doublings.
     """
     _positive(a, "a")
     _positive(b, "b")
@@ -288,62 +280,15 @@ def division_from_bezout(
         raise CertificateMismatchError(
             f"certificate identity fails: {a}*{cert.x} + {b}*{cert.y} != {cert.g}"
         )
-    if cert.g != _subtractive_gcd_value(a, b, budget):
+    hi, lo = a, b
+    while lo:
+        hi, lo = lo, _ladder(hi, lo, budget, lambda: f"gcd validation for ({a}, {b})")[1]
+    if cert.g != hi:
         raise CertificateMismatchError(f"certificate g = {cert.g} is not gcd({a}, {b})")
 
-    g, x, y = cert.g, cert.x, cert.y
-    shifts = 0
-    while x < 0:
-        shifts += 1
-        if shifts > budget:
-            raise ResourceLimitError(
-                f"division_from_bezout({a}, {b}): exceeded {budget} certificate shifts"
-            )
-        x += b
-        y -= a
-
-    if x == 0:
-        # b*y = g with g | b, so g = b and b | a; count the quotient
-        q = 0
-        rest = a
-        while rest >= b:
-            q += 1
-            if q > budget:
-                raise ResourceLimitError(
-                    f"division_from_bezout({a}, {b}): exceeded {budget} subtractions"
-                )
-            rest -= b
-        return q, rest
-
-    if x == 1:
-        # a = -y*b + g
-        if g == b:
-            return 1 - y, 0
-        return -y, g
-
-    # x > 1: a = b*(-y - x + 1) + t
-    t = (x - 1) * (b - a) + g
-    if 0 <= t < b:
-        return -y - x + 1, t
-    if t > b:
-        # t above b forces b > a, so the quotient is zero
-        return 0, a
-    if t == b:
-        return -y - x + 2, 0
-
-    # t < 0: a = b*d - c with d = -y - x + 1 > 0 and 0 < c < b*d; scan the
-    # intervals [0, b), [b, 2b), ... for the least i with i*b <= c
-    c = -t
-    d = -y - x + 1
-    i = 0
-    while (i + 1) * b <= c:
-        i += 1
-        if i > budget:
-            raise ResourceLimitError(
-                f"division_from_bezout({a}, {b}): exceeded {budget} interval steps"
-            )
-    r = (i + 1) * b - c
-    if r == b:
-        # c sits exactly on i*b, so a = b*(d - i) with nothing left over
-        return d - i, 0
-    return d - i - 1, r
+    t = (cert.x - 1) * (b - a) + cert.g
+    floor, r = _ladder(abs(t), b, budget, lambda: f"division_from_bezout({a}, {b}):")
+    if t < 0:
+        # -t = floor*b + r, so t = -(floor + 1)*b + (b - r), or -floor*b if r = 0
+        floor, r = (-floor, 0) if r == 0 else (-floor - 1, b - r)
+    return 1 - cert.x - cert.y + floor, r

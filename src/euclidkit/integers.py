@@ -10,16 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _integer
 
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_FACTOR_BUDGET = 10**7
 
 
 def _natural(value: int, name: str) -> int:
-    if not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < 0:
+    if _integer(value, name) < 0:
         raise DomainError(f"{name} must be non-negative, got {value}")
     return value
 

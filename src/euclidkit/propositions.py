@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, HypothesisFailedError, ResourceLimitError
 from .euclid import gcd_subtractive
 from .integers import DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
@@ -137,8 +135,14 @@ def classify_perfect(n: int, *, step_budget: int | None = None) -> int | None:
     return p
 
 
-def _sigma_sieve(limit: int) -> np.ndarray:
-    """Divisor sums for all n <= limit via the divisor-pair sieve."""
+def _sigma_sieve(limit: int) -> list[int]:
+    """Every n <= limit whose divisor sum is 2n, via the divisor-pair sieve.
+
+    numpy is imported here rather than with the module, so that only the scan
+    pays for loading it.
+    """
+    import numpy as np
+
     sig = np.zeros(limit + 1, dtype=np.int64)
     d = 1
     while d * d <= limit:
@@ -147,7 +151,7 @@ def _sigma_sieve(limit: int) -> np.ndarray:
         sig[d * d :: d] += cofactors  # its cofactor
         sig[d * d] -= d  # square: d counted twice
         d += 1
-    return sig
+    return np.flatnonzero(sig == 2 * np.arange(limit + 1, dtype=np.int64)).tolist()
 
 
 def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
@@ -162,10 +166,8 @@ def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[i
     budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
     if limit > budget:
         raise ResourceLimitError(f"perfect_scan({limit}): sieve limit is {budget}")
-    sig = _sigma_sieve(limit)
-    hits = np.flatnonzero(sig == 2 * np.arange(limit + 1, dtype=np.int64))
     out: list[tuple[int, int]] = []
-    for n in hits.tolist():
+    for n in _sigma_sieve(limit):
         if n == 0:
             continue
         p = classify_perfect(n)

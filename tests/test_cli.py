@@ -65,6 +65,27 @@ summary quotient: 5
 summary remainder: 10
 """
 
+DIV_FROM_BEZOUT_LONG_TEXT_GOLDEN = """\
+div-from-bezout  a=10000000 b=3 format=text
+g = 1
+cert_x = 1
+cert_y = -3333333
+quotient = 3333333
+remainder = 1
+"""
+
+DIV_FROM_BEZOUT_LONG_REPORT_GOLDEN = """\
+command: div-from-bezout
+param a: 10000000
+param b: 3
+param format: report
+summary g: 1
+summary cert_x: 1
+summary cert_y: -3333333
+summary quotient: 3333333
+summary remainder: 1
+"""
+
 CF_REPORT_GOLDEN = """\
 command: cf
 param a: 355
@@ -498,6 +519,16 @@ def test_dynamics_trace_goldens(capsys):
     )
 
 
+def test_div_from_bezout_long_quotient_goldens(capsys):
+    argv = ["div-from-bezout", "10000000", "3"]
+    assert run_main(capsys, *argv) == (0, DIV_FROM_BEZOUT_LONG_TEXT_GOLDEN, "")
+    assert run_main(capsys, *argv, "--format", "report") == (
+        0,
+        DIV_FROM_BEZOUT_LONG_REPORT_GOLDEN,
+        "",
+    )
+
+
 def test_dynamics_trace_flags_a_run_the_step_matrices_do_not_replay(capsys, monkeypatch):
     run = cf_dynamics.dynamical_run(21, 13)
     wrong = cf_dynamics.DynamicsRun(run.start, run.step_count, (1, 0), run.product)
@@ -578,10 +609,10 @@ def test_exit_code_1_report_goldens(capsys):
 ERROR_GOLDENS = [
     (["gcd", "0", "5"], 2, "gcd\nVIOLATION: a must be at least 1, got 0\n"),
     (
-        ["div-from-bezout", "10000000", "3"],
+        ["div-from-bezout", "10000000", "3", "--budget", "5"],
         3,
         "div-from-bezout\nVIOLATION: gcd validation for (10000000, 3)"
-        " exceeded 1000000 subtraction steps\n",
+        " exceeded 5 doubling steps\n",
     ),
     (
         ["gcd", "1000000", "1", "--method", "subtractive", "--budget", "10"],

@@ -1,6 +1,10 @@
 """Gcd traces, Bezout certificates, and division rebuilt from certificates."""
 
+import ast
+import inspect
 import random
+import textwrap
+import tracemalloc
 from math import gcd as builtin_gcd
 
 import pytest
@@ -257,21 +261,22 @@ def test_division_from_bezout_matches_divmod_up_to_500():
 
 
 def test_division_from_bezout_branch_certificates():
-    # x = 0: certificate says g = b, quotient counted by subtraction
+    # a = b*(1 - x - y) + t with t = (x - 1)*(b - a) + g, at each place t lands
+    # x = 0: g = b and t = a
     assert division_from_bezout(6, 3, BezoutCertificate(6, 3, 3, 0, 1)) == (2, 0)
-    # x = 1 with g < b
+    # x = 1: t = g < b
     assert division_from_bezout(3, 2, BezoutCertificate(3, 2, 1, 1, -1)) == (1, 1)
-    # x = 1 with g = b
+    # x = 1: t = g = b
     assert division_from_bezout(6, 3, BezoutCertificate(6, 3, 3, 1, -1)) == (2, 0)
-    # x > 1 with t in [0, b)
+    # t in [0, b)
     assert division_from_bezout(3, 5, BezoutCertificate(3, 5, 1, 2, -1)) == (0, 3)
-    # x > 1 with t > b (only possible when b > a)
+    # t > b (only possible when b > a)
     assert division_from_bezout(46, 240, xgcd(46, 240)) == (0, 46)
-    # x > 1 with t = b (equal pair)
+    # t = b (equal pair)
     assert division_from_bezout(3, 3, BezoutCertificate(3, 3, 3, 2, -1)) == (1, 0)
-    # x > 1 with t < 0, interval scan
+    # t < 0
     assert division_from_bezout(240, 46, xgcd(240, 46)) == (5, 10)
-    # t < 0 where the scan lands exactly on a multiple of b
+    # t < 0 and an exact multiple of b
     assert division_from_bezout(6, 3, BezoutCertificate(6, 3, 3, 3, -5)) == (2, 0)
 
 
@@ -286,6 +291,121 @@ def test_division_from_bezout_accepts_shifted_certificates(a, b, shift):
     base = xgcd(a, b)
     cert = BezoutCertificate(a, b, base.g, base.x + shift * b, base.y - shift * a)
     assert division_from_bezout(a, b, cert) == divmod(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (705754639823, 658489299188),
+        (1033474460560, 920412273759),
+        (1079511085166, 596813804922),
+        (10**7, 3),
+    ],
+)
+def test_division_from_bezout_answers_long_quotients_and_large_t(a, b):
+    assert division_from_bezout(a, b, xgcd(a, b)) == divmod(a, b)
+
+
+@settings(deadline=None)
+@given(
+    a=st.integers(10**99, 10**349),
+    b=st.integers(10**99, 10**349),
+    scale=st.integers(1, 10**50),
+    shift=st.integers(-(10**6), 10**6),
+)
+def test_division_from_bezout_on_long_pairs_and_shifted_certificates(a, b, scale, shift):
+    a, b = a * scale, b * scale
+    for a, b in [(a, b), (b, a)]:
+        base = xgcd(a, b)
+        g = base.g
+        cert = BezoutCertificate(a, b, g, base.x + shift * (b // g), base.y - shift * (a // g))
+        assert cert.holds()
+        assert division_from_bezout(a, b, cert) == divmod(a, b)
+
+
+def test_division_from_bezout_budget_counts_doublings_per_ladder():
+    # gcd validation: 1024 = 1 * 2**10 takes 10 doublings
+    assert division_from_bezout(1024, 1, xgcd(1024, 1), step_budget=10) == (1024, 0)
+    with pytest.raises(ResourceLimitError) as exc:
+        division_from_bezout(1024, 1, xgcd(1024, 1), step_budget=9)
+    assert str(exc.value) == "gcd validation for (1024, 1) exceeded 9 doubling steps"
+    # the floor: this shifted certificate has t = 1 - 2k = -2047, and
+    # 2 * 2**9 <= 2047 < 2 * 2**10 takes 9 doublings; validating gcd(3, 2) one
+    k = 2**10
+    cert = BezoutCertificate(3, 2, 1, 1 + 2 * k, -1 - 3 * k)
+    assert division_from_bezout(3, 2, cert, step_budget=9) == (1, 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        division_from_bezout(3, 2, cert, step_budget=8)
+    assert str(exc.value) == "division_from_bezout(3, 2): exceeded 8 doubling steps"
+
+
+def test_division_from_bezout_memory_stays_linear_in_the_input():
+    a = 10**2000 + 1
+    cert = xgcd(a, 3)
+    tracemalloc.start()
+    try:
+        assert division_from_bezout(a, 3, cert) == divmod(a, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+_DIVIDING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
+_DIVIDING_NAMES = {"divmod", "gcd", "_quotient_runs", "gcd_remainder", "xgcd", "_gcd"}
+
+
+def _division_in(*roots):
+    """Read each root and every package function it calls by name, in turn.
+
+    Returns the names of the functions read and the divisions found in them,
+    as (function, line, what): an operator, or a name of a dividing builtin
+    or helper, called or not.
+    """
+    read, found, todo = [], [], list(roots)
+    while todo:
+        fn = todo.pop()
+        if fn.__qualname__ in read:
+            continue
+        read.append(fn.__qualname__)
+        source = textwrap.dedent(inspect.getsource(fn))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, _DIVIDING_OPS
+            ):
+                found.append((fn.__qualname__, node.lineno, type(node.op).__name__))
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in _DIVIDING_NAMES:
+                found.append((fn.__qualname__, node.lineno, name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callee = fn.__globals__.get(node.func.id)
+                if inspect.isfunction(callee) and callee.__module__.startswith("euclidkit"):
+                    todo.append(callee)
+    return set(read), found
+
+
+def test_division_from_bezout_divides_nowhere():
+    read, found = _division_in(division_from_bezout, BezoutCertificate.holds)
+    assert read == {
+        "division_from_bezout",
+        "_ladder",
+        "_positive",
+        "_integer",
+        "BezoutCertificate.holds",
+    }
+    assert found == []
+
+
+def test_division_checker_flags_a_division():
+    def halves(a: int, b: int) -> int:
+        return a // b
+
+    assert _division_in(halves)[1] == [
+        ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv")
+    ]
+    read, found = _division_in(lcm)
+    assert read == {"lcm", "_positive", "_integer"}
+    assert [what for _, _, what in found] == ["FloorDiv", "gcd"]
 
 
 def test_division_from_bezout_rejects_bad_certificates():

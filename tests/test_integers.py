@@ -11,12 +11,16 @@ from euclidkit import (
     DomainError,
     Factorization,
     ResourceLimitError,
+    average_cf_length,
+    dedekind_sum,
     factorize,
     lucas_lehmer,
     primes_up_to,
     rational_str,
+    reciprocity_residual,
     sigma,
     smallest_prime_factor,
+    yao_knuth_stat,
 )
 from euclidkit.integers import divmod  # noqa: A004 - the division op by design
 from oracles import divmod_by_subtraction, is_prime_trial, sigma_by_enumeration
@@ -203,3 +207,24 @@ def test_rational_str_frozen_values():
     assert rational_str(Fraction(0)) == "0/1"
     assert rational_str(Fraction(-1, 14)) == "-1/14"
     assert rational_str(Fraction(36, 24)) == "3/2"
+
+
+# ---------------------------------------------------------------------------
+# one integer check for every layer
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        (yao_knuth_stat, (2.5,)),
+        (average_cf_length, (3.0,)),
+        (reciprocity_residual, (2.5, 1)),
+        (dedekind_sum, (True, 5)),
+        (reciprocity_residual, (True, 2)),
+        (primes_up_to, (True,)),
+        (factorize, (True,)),
+    ],
+)
+def test_bool_and_float_arguments_are_domain_errors(op, args):
+    with pytest.raises(DomainError, match="must be an integer, got (bool|float)"):
+        op(*args)
