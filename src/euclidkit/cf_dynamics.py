@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, _integer
+from .errors import DomainError, ResourceLimitError, _integer, _shown
 from .euclid import _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
@@ -83,12 +83,11 @@ def _validate_quotients(cf) -> tuple[int, ...]:
     if not quotients:
         raise DomainError("a continued fraction needs at least one quotient")
     for i, q in enumerate(quotients):
-        if not isinstance(q, int):
-            raise DomainError(f"quotients must be integers, got {q!r}")
+        _integer(q, "quotients[i]")
         if i == 0 and q < 0:
-            raise DomainError(f"the leading quotient must be >= 0, got {q}")
+            raise DomainError(f"the leading quotient must be >= 0, got {_shown(q)}")
         if i > 0 and q < 1:
-            raise DomainError(f"quotients after the first must be >= 1, got {q}")
+            raise DomainError(f"quotients after the first must be >= 1, got {_shown(q)}")
     return quotients
 
 
@@ -112,10 +111,10 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
     natural logarithm.
     """
     if _integer(a, "a") < 2:
-        raise DomainError(f"yao_knuth_stat needs a >= 2, got {a}")
+        raise DomainError(f"yao_knuth_stat needs a >= 2, got {_shown(a)}")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:
-        raise ResourceLimitError(f"yao_knuth_stat({a}): scan budget is {budget}")
+        raise ResourceLimitError(f"yao_knuth_stat({_shown(a)}): scan budget is {budget}")
     total = 0
     for b in range(1, a + 1):
         x, y = a, b
@@ -129,10 +128,10 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
 def average_cf_length(a: int, *, scan_budget: int | None = None) -> float:
     """Mean number of division steps for a/b over b = 1..a (report-only)."""
     if _integer(a, "a") < 2:
-        raise DomainError(f"average_cf_length needs a >= 2, got {a}")
+        raise DomainError(f"average_cf_length needs a >= 2, got {_shown(a)}")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:
-        raise ResourceLimitError(f"average_cf_length({a}): scan budget is {budget}")
+        raise ResourceLimitError(f"average_cf_length({_shown(a)}): scan budget is {budget}")
     steps = 0
     for b in range(1, a + 1):
         x, y = a, b
@@ -156,7 +155,7 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
     _integer(x, "x")
     _integer(y, "y")
     if x < 0 or y < 0:
-        raise DomainError(f"dynamical_run needs naturals, got ({x}, {y})")
+        raise DomainError(f"dynamical_run needs naturals, got ({_shown(x)}, {_shown(y)})")
     if x == 0 and y == 0:
         raise DomainError("dynamical_run needs a nonzero coordinate")
     if not (x and y):
@@ -165,7 +164,9 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
     runs = list(_quotient_runs(x, y))
     steps = sum(q for _, _, q, _ in runs)
     if steps > budget:
-        raise ResourceLimitError(f"dynamical_run({x}, {y}): exceeded {budget} steps")
+        raise ResourceLimitError(
+            f"dynamical_run({_shown(x)}, {_shown(y)}): exceeded {budget} steps"
+        )
     p11, p12, p21, p22 = 1, 0, 0, 1
     top = True  # the chain of x/y starts on x, with q = 0 if x < y
     for _, _, q, r in runs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -243,8 +243,7 @@ def _cmd_interval_equiv(args, report: Report) -> None:
         raise UsageError("interval-equiv needs m or --scan, not both")
     if args.scan is not None:
         mismatches = 0
-        for m in range(1, args.scan + 1):
-            prime_exists, is_w = sequences.prime_interval_equivalence(m)
+        for m, prime_exists, is_w in sequences.interval_equivalence_scan(args.scan):
             if prime_exists != is_w:
                 mismatches += 1
                 report.violations.append(
@@ -406,9 +405,9 @@ def execute(argv) -> tuple[int, Report | None]:
     except HypothesisFailedError as exc:  # a checked property failed: report it
         report.violations.append(str(exc))
     except (UsageError, DomainError, CertificateMismatchError, ZeroDivisionError) as exc:
-        return 2, Report(command.name, violations=[str(exc)])
+        return 2, replace(report, rows=[], summary={}, violations=[str(exc)])
     except ResourceLimitError as exc:
-        return 3, Report(command.name, violations=[str(exc)])
+        return 3, replace(report, rows=[], summary={}, violations=[str(exc)])
     return (1 if report.violations else 0), report
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check every
-layer validates its arguments with."""
+"""Exception types shared across the package, the integer check every layer
+validates its arguments with, and the formatter its messages show values by."""
 
 
 class DomainError(ValueError):
@@ -23,3 +23,12 @@ def _integer(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
     return value
+
+
+def _shown(value) -> str:
+    """str(value), or "<n-bit integer>" (signed) for an int with more digits
+    than Python converts to a string (sys.get_int_max_str_digits())."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"

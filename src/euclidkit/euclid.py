@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer
+from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer, _shown
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -138,7 +138,7 @@ class BezoutCertificate:
 
 def _positive(value: int, name: str) -> int:
     if _integer(value, name) < 1:
-        raise DomainError(f"{name} must be at least 1, got {value}")
+        raise DomainError(f"{name} must be at least 1, got {_shown(value)}")
     return value
 
 
@@ -175,7 +175,7 @@ def gcd_subtractive(
     steps = SubtractiveSteps(runs)
     if steps.length > budget:
         raise ResourceLimitError(
-            f"gcd_subtractive({a}, {b}): exceeded {budget} subtraction steps"
+            f"gcd_subtractive({_shown(a)}, {_shown(b)}): exceeded {budget} subtraction steps"
         )
     return runs[-1][1], EuclidTrace("subtractive", steps)
 
@@ -272,22 +272,27 @@ def division_from_bezout(
     _positive(a, "a")
     _positive(b, "b")
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
+
+    def pair() -> str:  # built only when a message needs it
+        return f"({_shown(a)}, {_shown(b)})"
+
     if cert.a != a or cert.b != b:
         raise CertificateMismatchError(
-            f"certificate is for pair ({cert.a}, {cert.b}), not ({a}, {b})"
+            f"certificate is for pair ({_shown(cert.a)}, {_shown(cert.b)}), not {pair()}"
         )
     if not cert.holds():
         raise CertificateMismatchError(
-            f"certificate identity fails: {a}*{cert.x} + {b}*{cert.y} != {cert.g}"
+            f"certificate identity fails: {_shown(a)}*{_shown(cert.x)}"
+            f" + {_shown(b)}*{_shown(cert.y)} != {_shown(cert.g)}"
         )
     hi, lo = a, b
     while lo:
-        hi, lo = lo, _ladder(hi, lo, budget, lambda: f"gcd validation for ({a}, {b})")[1]
+        hi, lo = lo, _ladder(hi, lo, budget, lambda: f"gcd validation for {pair()}")[1]
     if cert.g != hi:
-        raise CertificateMismatchError(f"certificate g = {cert.g} is not gcd({a}, {b})")
+        raise CertificateMismatchError(f"certificate g = {_shown(cert.g)} is not gcd{pair()}")
 
     t = (cert.x - 1) * (b - a) + cert.g
-    floor, r = _ladder(abs(t), b, budget, lambda: f"division_from_bezout({a}, {b}):")
+    floor, r = _ladder(abs(t), b, budget, lambda: f"division_from_bezout{pair()}:")
     if t < 0:
         # -t = floor*b + r, so t = -(floor + 1)*b + (b - r), or -floor*b if r = 0
         floor, r = (-floor, 0) if r == 0 else (-floor - 1, b - r)

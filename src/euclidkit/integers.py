@@ -6,6 +6,7 @@ which already keeps values reduced with a positive denominator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -67,6 +68,20 @@ def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return [n for n in range(2, limit + 1) if flags[n]]
+
+
+def _window_has_prime(lo: int, hi: int, base_primes: list[int]) -> bool:
+    """Whether the window lo..hi holds a prime, for isqrt(hi) < lo <= hi and
+    base_primes listing every prime up to isqrt(hi) in ascending order (any
+    beyond are ignored). Each base prime's multiples are cleared from a
+    bytearray of the window by one slice assignment."""
+    size = hi - lo + 1
+    flags = bytearray(b"\x01") * size
+    zeros = bytearray(size)
+    for p in base_primes[: bisect_right(base_primes, isqrt(hi))]:
+        first = -lo % p  # offset of the window's first multiple of p
+        flags[first::p] = zeros[first::p]
+    return 1 in flags
 
 
 @dataclass(frozen=True)

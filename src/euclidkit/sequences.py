@@ -4,12 +4,15 @@ prime divisors for composite runs, and witness-free run lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd, isqrt, log
+from itertools import chain, islice, repeat
+from math import ceil, gcd, log, prod
+from operator import lt
 
-from .errors import DomainError
-from .integers import factorize, primes_up_to, smallest_prime_factor
+from .errors import DomainError, _integer, _shown
+from .integers import _window_has_prime, factorize, primes_up_to, smallest_prime_factor
 
 DEFAULT_WINDOW_CAP = 10**4
+_BLOCK = 32  # values per block product in w_witness
 
 
 @dataclass(frozen=True)
@@ -37,38 +40,56 @@ class GrimmAssignment:
     assignment: tuple[int, ...]
 
 
-def w_witness(seq) -> WReport:
-    """Find the least element coprime to every other element."""
+def _increasing_naturals(seq) -> tuple[int, ...]:
+    """seq as a tuple, checked to be a non-empty, strictly increasing
+    sequence of naturals >= 1; a range with step > 0 and start >= 1 is one
+    by construction, so only its length is checked."""
     values = tuple(seq)
     if not values:
         raise DomainError("w_witness needs a non-empty sequence")
-    previous = 0
-    for v in values:
-        if not isinstance(v, int) or v < 1:
-            raise DomainError(f"w_witness needs naturals >= 1, got {v!r}")
-        if v <= previous:
-            raise DomainError("w_witness needs a strictly increasing sequence")
-        previous = v
-    n = len(values)
-    for r in range(n):
-        vr = values[r]
-        if all(gcd(vr, values[j]) == 1 for j in range(n) if j != r):
-            return WReport(values, r + 1)
+    if isinstance(seq, range) and seq.step > 0 and seq.start >= 1:
+        return values
+    if set(map(type, values)) != {int}:
+        for v in values:
+            _integer(v, "values[i]")
+    if min(values) < 1:
+        bad = next(v for v in values if v < 1)
+        raise DomainError(f"w_witness needs naturals >= 1, got {bad!r}")
+    if not all(map(lt, values, islice(values, 1, None))):
+        raise DomainError("w_witness needs a strictly increasing sequence")
+    return values
+
+
+def _shares_factor(v: int, others) -> bool:
+    """Whether v has a common factor > 1 with any of others; stops at the first."""
+    return any(map((1).__lt__, map(gcd, repeat(v), others)))
+
+
+def w_witness(seq) -> WReport:
+    """Find the least element coprime to every other element.
+
+    v is coprime to each of u1, ..., uk exactly when it is coprime to their
+    product. So the values are cut into fixed blocks of _BLOCK, and each
+    candidate is tested pairwise within its own block and then against the
+    product of every other block: multiplication and gcd only.
+    """
+    values = _increasing_naturals(seq)
+    blocks = [values[s : s + _BLOCK] for s in range(0, len(values), _BLOCK)]
+    products = list(map(prod, blocks))
+    for k, block in enumerate(blocks):
+        others = products[:k] + products[k + 1 :]
+        for i, v in enumerate(block):
+            if not _shares_factor(v, chain(block[:i], block[i + 1 :], others)):
+                return WReport(values, k * _BLOCK + i + 1)
     return WReport(values, None)
 
 
-def _window_prime_flags(lo: int, hi: int, *, sieve_budget: int | None = None) -> list[bool]:
-    """Primality flags for lo..hi by sieving with base primes up to sqrt(hi)."""
-    size = hi - lo + 1
-    flags = [True] * size
-    for offset in range(size):
-        if lo + offset < 2:
-            flags[offset] = False
-    for p in primes_up_to(isqrt(hi), sieve_budget=sieve_budget):
-        first = max(p * p, ((lo + p - 1) // p) * p)
-        for multiple in range(first, hi + 1, p):
-            flags[multiple - lo] = False
-    return flags
+def _interval_sides(m: int, base_primes: list[int]) -> tuple[bool, bool]:
+    """Both sides for the window m^2+1..m^2+2m, from base primes up to m."""
+    lo, hi = m * m + 1, m * m + 2 * m
+    prime_exists = _window_has_prime(lo, hi, base_primes)
+    is_w = w_witness(range(lo, hi + 1)).witness_index is not None
+    return prime_exists, is_w
 
 
 def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tuple[bool, bool]:
@@ -76,15 +97,23 @@ def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tu
     coprime witness) — computed by two unrelated scans.
 
     The first boolean comes from a primality sieve of the window, the second
-    from pairwise gcds only.
+    from block products and gcds only.
     """
-    if m < 1:
-        raise DomainError(f"prime_interval_equivalence needs m >= 1, got {m}")
-    lo = m * m + 1
-    hi = (m + 1) * (m + 1) - 1
-    prime_exists = any(_window_prime_flags(lo, hi, sieve_budget=sieve_budget))
-    is_w = w_witness(range(lo, hi + 1)).witness_index is not None
-    return prime_exists, is_w
+    if _integer(m, "m") < 1:
+        raise DomainError(f"prime_interval_equivalence needs m >= 1, got {_shown(m)}")
+    # isqrt((m+1)^2 - 1) == m bounds the window's base primes
+    return _interval_sides(m, primes_up_to(m, sieve_budget=sieve_budget))
+
+
+def interval_equivalence_scan(
+    limit: int, *, sieve_budget: int | None = None
+) -> list[tuple[int, bool, bool]]:
+    """(m, *prime_interval_equivalence(m)) for m = 1..limit, with the base
+    primes up to limit sieved once for every window."""
+    if _integer(limit, "limit") < 0:
+        raise DomainError(f"interval_equivalence_scan needs limit >= 0, got {_shown(limit)}")
+    base_primes = primes_up_to(limit, sieve_budget=sieve_budget)
+    return [(m, *_interval_sides(m, base_primes)) for m in range(1, limit + 1)]
 
 
 def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssignment | None:
@@ -95,14 +124,14 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
     primes dividing them; positions and primes are tried in ascending order,
     so the result is deterministic.
     """
-    if m < 0:
-        raise DomainError(f"grimm_assign needs m >= 0, got {m}")
-    if n < 1:
-        raise DomainError(f"grimm_assign needs n >= 1, got {n}")
+    if _integer(m, "m") < 0:
+        raise DomainError(f"grimm_assign needs m >= 0, got {_shown(m)}")
+    if _integer(n, "n") < 1:
+        raise DomainError(f"grimm_assign needs n >= 1, got {_shown(n)}")
     divisors: list[list[int]] = []
     for value in range(m + 1, m + n + 1):
         if value < 4 or smallest_prime_factor(value, step_budget=step_budget) == value:
-            raise DomainError(f"window element {value} is not composite")
+            raise DomainError(f"window element {_shown(value)} is not composite")
         divisors.append(factorize(value, step_budget=step_budget).primes())
 
     owner: dict[int, int] = {}  # prime -> position currently using it
@@ -129,8 +158,8 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
 def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
     """Maximal runs of consecutive composites with last element <= limit,
     as (m, n) meaning the run is m+1 .. m+n."""
-    if limit < 4:
-        raise DomainError(f"composite_runs needs limit >= 4, got {limit}")
+    if _integer(limit, "limit") < 4:
+        raise DomainError(f"composite_runs needs limit >= 4, got {_shown(limit)}")
     primes = primes_up_to(limit + 1, sieve_budget=sieve_budget)
     out: list[tuple[int, int]] = []
     for p, q in zip(primes, primes[1:]):
@@ -183,8 +212,8 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     it is reported infeasible; disagreement between the two searches is a bug
     and raises.
     """
-    if limit < 4:
-        raise DomainError(f"grimm_scan needs limit >= 4, got {limit}")
+    if _integer(limit, "limit") < 4:
+        raise DomainError(f"grimm_scan needs limit >= 4, got {_shown(limit)}")
     # sieve far enough to see the first prime beyond limit
     horizon = limit + 2
     primes = primes_up_to(horizon, sieve_budget=sieve_budget)
@@ -216,21 +245,21 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
 
 def default_window_bound(m: int) -> int:
     """Default search ceiling for witness-free runs: ceil(4 * ln(m+2)^2)."""
-    if m < 0:
-        raise DomainError(f"default_window_bound needs m >= 0, got {m}")
+    if _integer(m, "m") < 0:
+        raise DomainError(f"default_window_bound needs m >= 0, got {_shown(m)}")
     return max(1, ceil(4 * log(m + 2) ** 2))
 
 
 def non_w_max_run(m: int, n_max: int, *, window_cap: int | None = None) -> int:
     """Largest n <= n_max such that m+1 .. m+n has no coprime witness (0 if
     every length has one). Checks every n: witness-freeness is not monotone."""
-    if m < 0:
-        raise DomainError(f"non_w_max_run needs m >= 0, got {m}")
-    if n_max < 1:
-        raise DomainError(f"non_w_max_run needs n_max >= 1, got {n_max}")
+    if _integer(m, "m") < 0:
+        raise DomainError(f"non_w_max_run needs m >= 0, got {_shown(m)}")
+    if _integer(n_max, "n_max") < 1:
+        raise DomainError(f"non_w_max_run needs n_max >= 1, got {_shown(n_max)}")
     cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
     if n_max > cap:
-        raise DomainError(f"non_w_max_run window cap is {cap}, got n_max = {n_max}")
+        raise DomainError(f"non_w_max_run window cap is {cap}, got n_max = {_shown(n_max)}")
     best = 0
     for n in range(1, n_max + 1):
         if w_witness(range(m + 1, m + n + 1)).witness_index is None:

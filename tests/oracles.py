@@ -5,11 +5,13 @@ enumeration, divisions and subtractive traces from repeated subtraction,
 orbits of the subtractive map from single steps and their matrix products,
 primality from bare trial division, divisor sums from scanning every
 candidate divisor, Dedekind sums from literal term-by-term rational
-arithmetic, and window assignments from exhaustive backtracking.
+arithmetic, coprime witnesses from a gcd matrix or a plain pairwise scan,
+and window assignments from exhaustive backtracking.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -133,6 +135,15 @@ def witness_by_pair_matrix(values: list[int]) -> int | None:
     matrix = [[gcd_by_enumeration(values[i], values[j]) for j in range(n)] for i in range(n)]
     for r in range(n):
         if all(matrix[r][j] == 1 for j in range(n) if j != r):
+            return r + 1
+    return None
+
+
+def witness_by_pairwise_gcd(values: list[int]) -> int | None:
+    """Least 1-based index coprime to all others, testing every pair with
+    math.gcd, one element against one other at a time."""
+    for r, v in enumerate(values):
+        if all(math.gcd(v, u) == 1 for j, u in enumerate(values) if j != r):
             return r + 1
     return None
 

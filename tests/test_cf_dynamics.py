@@ -79,6 +79,10 @@ def test_cf_rejects_malformed_quotients():
         cf_value((-1, 2))
     with pytest.raises(DomainError):
         cf_value((3, 0, 2))
+    with pytest.raises(DomainError, match="must be an integer, got bool"):
+        cf_value([True, 2])
+    with pytest.raises(DomainError, match="must be an integer, got float"):
+        cf_value([1, 2.0])
     with pytest.raises(DomainError):
         cf_expand(0, 5)
 

@@ -604,42 +604,91 @@ def test_exit_code_1_report_goldens(capsys):
     )
 
 
-# Exit 2 and 3 reports carry the command and the error only, on stderr, in the
-# text layout whatever --format says.
+# Exit 2 and 3 reports echo the parameters like any other report, in the
+# layout --format asks for, with the error as their one violation and no rows
+# or summary. They go to --out when it is given, and to stderr otherwise.
 ERROR_GOLDENS = [
-    (["gcd", "0", "5"], 2, "gcd\nVIOLATION: a must be at least 1, got 0\n"),
-    (
+    pytest.param(
+        ["gcd", "0", "5"],
+        2,
+        {
+            "text": "gcd  a=0 b=5 format=text method=remainder trace=false\n"
+            "VIOLATION: a must be at least 1, got 0\n",
+            "report": "command: gcd\nparam a: 0\nparam b: 5\nparam format: report\n"
+            "param method: remainder\nparam trace: false\n"
+            "violation: a must be at least 1, got 0\n",
+        },
+        id="gcd-domain",
+    ),
+    pytest.param(
         ["div-from-bezout", "10000000", "3", "--budget", "5"],
         3,
-        "div-from-bezout\nVIOLATION: gcd validation for (10000000, 3)"
-        " exceeded 5 doubling steps\n",
+        {
+            "text": "div-from-bezout  a=10000000 b=3 budget=5 format=text\n"
+            "VIOLATION: gcd validation for (10000000, 3) exceeded 5 doubling steps\n",
+            "report": "command: div-from-bezout\nparam a: 10000000\nparam b: 3\n"
+            "param budget: 5\nparam format: report\n"
+            "violation: gcd validation for (10000000, 3) exceeded 5 doubling steps\n",
+        },
+        id="div-from-bezout-budget",
     ),
-    (
+    pytest.param(
         ["gcd", "1000000", "1", "--method", "subtractive", "--budget", "10"],
         3,
-        "gcd\nVIOLATION: gcd_subtractive(1000000, 1): exceeded 10 subtraction steps\n",
+        {
+            "text": "gcd  a=1000000 b=1 budget=10 format=text method=subtractive trace=false\n"
+            "VIOLATION: gcd_subtractive(1000000, 1): exceeded 10 subtraction steps\n",
+            "report": "command: gcd\nparam a: 1000000\nparam b: 1\nparam budget: 10\n"
+            "param format: report\nparam method: subtractive\nparam trace: false\n"
+            "violation: gcd_subtractive(1000000, 1): exceeded 10 subtraction steps\n",
+        },
+        id="gcd-subtractive-budget",
     ),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "report"])
-@pytest.mark.parametrize("argv, code, golden", ERROR_GOLDENS)
-def test_error_report_goldens(capsys, argv, code, golden, fmt):
-    assert run_main(capsys, *argv, "--format", fmt) == (code, "", golden)
+@pytest.mark.parametrize("argv, code, goldens", ERROR_GOLDENS)
+def test_error_report_goldens(capsys, argv, code, goldens, fmt):
+    assert run_main(capsys, *argv, "--format", fmt) == (code, "", goldens[fmt])
+
+
+def test_error_report_goes_to_out(capsys, tmp_path):
+    out_path = tmp_path / "error.txt"
+    argv = ["gcd", "0", "5", "--format", "report", "--out", str(out_path)]
+    assert run_main(capsys, *argv) == (2, "", "")
+    assert out_path.read_text(encoding="utf-8") == (
+        "command: gcd\nparam a: 0\nparam b: 5\nparam format: report\n"
+        f"param method: remainder\nparam out: {out_path}\nparam trace: false\n"
+        "violation: a must be at least 1, got 0\n"
+    )
 
 
 @pytest.mark.parametrize(
     "argv, golden",
     [
-        (
+        pytest.param(
             ["perfect", "7", "--scan", "5"],
-            "perfect\nVIOLATION: perfect needs an exponent or --scan, not both\n",
+            "perfect  format=text p=7 scan=5\n"
+            "VIOLATION: perfect needs an exponent or --scan, not both\n",
+            id="perfect-both",
         ),
-        (["reciprocity-scan"], "reciprocity-scan\nVIOLATION: reciprocity-scan needs --limit\n"),
-        (["grimm", "89"], "grimm\nVIOLATION: grimm needs both m and n for a single window\n"),
-        (
+        pytest.param(
+            ["reciprocity-scan"],
+            "reciprocity-scan  format=text\nVIOLATION: reciprocity-scan needs --limit\n",
+            id="reciprocity-scan-no-limit",
+        ),
+        pytest.param(
+            ["grimm", "89"],
+            "grimm  format=text m=89\n"
+            "VIOLATION: grimm needs both m and n for a single window\n",
+            id="grimm-no-n",
+        ),
+        pytest.param(
             ["interval-equiv"],
-            "interval-equiv\nVIOLATION: interval-equiv needs m or --scan, not both\n",
+            "interval-equiv  format=text\n"
+            "VIOLATION: interval-equiv needs m or --scan, not both\n",
+            id="interval-equiv-neither",
         ),
     ],
 )
@@ -647,11 +696,22 @@ def test_usage_error_goldens(capsys, argv, golden):
     assert run_main(capsys, *argv) == (2, "", golden)
 
 
+def test_argparse_usage_errors_keep_the_bare_layout(capsys, tmp_path):
+    out_path = tmp_path / "usage.txt"
+    assert run_main(capsys, "gcd", "0", "--format", "report", "--out", str(out_path)) == (
+        2,
+        "",
+        "usage\nVIOLATION: the following arguments are required: b\n",
+    )
+    assert not out_path.exists()
+
+
 def test_perfect_scan_honours_budget(capsys):
     assert run_main(capsys, "perfect", "--scan", "10000", "--budget", "1") == (
         3,
         "",
-        "perfect\nVIOLATION: perfect_scan(10000): sieve limit is 1\n",
+        "perfect  budget=1 format=text scan=10000\n"
+        "VIOLATION: perfect_scan(10000): sieve limit is 1\n",
     )
 
 
@@ -659,7 +719,7 @@ def test_nested_command_error_names_the_full_command(capsys):
     assert run_main(capsys, "stats", "yao-knuth", "1") == (
         2,
         "",
-        "stats yao-knuth\nVIOLATION: yao_knuth_stat needs a >= 2, got 1\n",
+        "stats yao-knuth  a=1 format=text\nVIOLATION: yao_knuth_stat needs a >= 2, got 1\n",
     )
 
 

@@ -18,6 +18,7 @@ from euclidkit import (
     EuclidStep,
     ResourceLimitError,
     division_from_bezout,
+    dynamical_run,
     gcd_many,
     gcd_remainder,
     gcd_subtractive,
@@ -391,6 +392,7 @@ def test_division_from_bezout_divides_nowhere():
         "_ladder",
         "_positive",
         "_integer",
+        "_shown",
         "BezoutCertificate.holds",
     }
     assert found == []
@@ -404,7 +406,7 @@ def test_division_checker_flags_a_division():
         ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv")
     ]
     read, found = _division_in(lcm)
-    assert read == {"lcm", "_positive", "_integer"}
+    assert read == {"lcm", "_positive", "_integer", "_shown"}
     assert [what for _, _, what in found] == ["FloorDiv", "gcd"]
 
 
@@ -494,6 +496,28 @@ def test_subtractive_budget_is_enforced():
         gcd_subtractive(10**40, 1)
     with pytest.raises(ResourceLimitError):
         division_from_bezout(10**6, 1, xgcd(10**6, 1), step_budget=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gcd_subtractive(10**5000, 1),
+        lambda: dynamical_run(10**5000, 1),
+        lambda: division_from_bezout(10**5000, 1, xgcd(10**5000, 1), step_budget=10),
+    ],
+    ids=["gcd_subtractive", "dynamical_run", "division_from_bezout"],
+)
+def test_budget_errors_name_inputs_over_4300_digits_by_bit_length(call):
+    # str() refuses ints over 4300 digits, so the message must not call it
+    with pytest.raises(ResourceLimitError, match=r"\(<16610-bit integer>, 1\)"):
+        call()
+
+
+def test_domain_errors_name_oversized_values_by_bit_length():
+    with pytest.raises(DomainError, match="a must be at least 1, got -<16610-bit integer>"):
+        gcd_remainder(-(10**5000), 1)
+    with pytest.raises(CertificateMismatchError, match="<16610-bit integer>"):
+        division_from_bezout(10**5000, 1, BezoutCertificate(10**5000, 1, 1, 1, 0))
 
 
 def test_subtractive_trace_longer_than_sys_maxsize():

@@ -1,6 +1,9 @@
 """Coprime witnesses, the prime-between-squares equivalence, and composite runs."""
 
+import ast
+import inspect
 import random
+import textwrap
 from math import gcd as builtin_gcd
 
 import pytest
@@ -10,16 +13,27 @@ from hypothesis import strategies as st
 from euclidkit import (
     DomainError,
     GrimmAssignment,
+    ResourceLimitError,
     composite_runs,
     default_window_bound,
     grimm_assign,
     grimm_scan,
+    interval_equivalence_scan,
     non_w_max_run,
     prime_interval_equivalence,
+    primes_up_to,
     verify_assignment,
     w_witness,
 )
-from oracles import assignment_by_backtracking, is_prime_trial, prime_divisors_by_trial, witness_by_pair_matrix
+from euclidkit.integers import _window_has_prime
+from euclidkit.sequences import _interval_sides
+from oracles import (
+    assignment_by_backtracking,
+    is_prime_trial,
+    prime_divisors_by_trial,
+    witness_by_pair_matrix,
+    witness_by_pairwise_gcd,
+)
 
 # ---------------------------------------------------------------------------
 # coprime witnesses
@@ -56,6 +70,44 @@ def test_w_witness_matches_pairwise_gcd_oracle(values):
         assert all(builtin_gcd(v, u) == 1 for u in values if u != v)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.sets(st.integers(1, 10**5), min_size=1, max_size=200).map(sorted)
+)
+def test_w_witness_matches_plain_pairwise_gcd_across_blocks(values):
+    assert w_witness(values).witness_index == witness_by_pairwise_gcd(values)
+
+
+def _evens_with_odd_prime_at(length: int, index: int) -> list[int]:
+    """2(M+1), ..., 2(M+length) with the entry at 1-based index replaced by
+    the prime 2(M+index) + 1, which exceeds every M+k, so it is the only
+    element coprime to all the others."""
+    base = 1000
+    while not is_prime_trial(2 * (base + index) + 1):
+        base += 1
+    values = [2 * (base + k) for k in range(1, length + 1)]
+    values[index - 1] += 1
+    return values
+
+
+@pytest.mark.parametrize(
+    "length, index",
+    [(32, 31), (32, 32), (33, 31), (33, 32), (33, 33), (64, 33), (64, 64), (65, 64), (65, 65)],
+)
+def test_w_witness_at_block_edges(length, index):
+    values = _evens_with_odd_prime_at(length, index)
+    assert w_witness(values).witness_index == index
+    assert witness_by_pairwise_gcd(values) == index
+    assert w_witness([2 * v for v in range(1, length + 1)]).witness_index is None
+
+
+def test_w_witness_sees_a_factor_shared_across_blocks():
+    # 101 and 103 share a factor only with their product, 49 places on
+    values = [p for p in range(101, 400) if is_prime_trial(p)][:49] + [101 * 103]
+    assert w_witness(values).witness_index == 3
+    assert witness_by_pairwise_gcd(values) == 3
+
+
 def test_w_witness_domain():
     with pytest.raises(DomainError):
         w_witness([])
@@ -89,6 +141,91 @@ def test_interval_equivalence_both_sides_up_to_600():
 def test_interval_equivalence_domain():
     with pytest.raises(DomainError):
         prime_interval_equivalence(0)
+    with pytest.raises(DomainError):
+        interval_equivalence_scan(-1)
+    assert interval_equivalence_scan(0) == []
+
+
+def test_interval_scan_matches_the_single_window_calls_up_to_300():
+    scan = interval_equivalence_scan(300)
+    assert scan == [(m, *prime_interval_equivalence(m)) for m in range(1, 301)]
+    for m in range(1, 301):
+        window = range(m * m + 1, (m + 1) * (m + 1))
+        assert w_witness(window).witness_index == witness_by_pairwise_gcd(list(window))
+
+
+def test_interval_scan_sieves_its_base_primes_within_the_budget():
+    assert len(interval_equivalence_scan(50, sieve_budget=50)) == 50
+    with pytest.raises(ResourceLimitError):
+        interval_equivalence_scan(50, sieve_budget=49)
+    with pytest.raises(ResourceLimitError):
+        prime_interval_equivalence(50, sieve_budget=49)
+
+
+def _names_reached(*roots):
+    """Read each root and every package function it names, in turn.
+
+    Returns the qualified names of the functions read and every name they
+    mention, as a variable or an attribute, called or not.
+    """
+    read, names, todo = set(), set(), list(roots)
+    while todo:
+        fn = todo.pop()
+        if fn.__qualname__ in read:
+            continue
+        read.add(fn.__qualname__)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+                named = fn.__globals__.get(node.id)
+                if inspect.isfunction(named) and named.__module__.startswith("euclidkit"):
+                    todo.append(named)
+    return read, names
+
+
+_PRIMALITY = {"primes_up_to", "factorize", "smallest_prime_factor", "_window_has_prime"}
+
+
+def test_witness_side_tests_no_primality():
+    read, names = _names_reached(w_witness)
+    assert read == {"w_witness", "_increasing_naturals", "_integer", "_shares_factor"}
+    assert "gcd" in names
+    assert not names & _PRIMALITY
+
+
+def test_prime_side_takes_no_gcd():
+    read, names = _names_reached(_window_has_prime, primes_up_to)
+    assert read == {"_window_has_prime", "primes_up_to", "_natural", "_integer"}
+    assert "gcd" not in names
+
+
+def test_interval_sides_reach_both_scans():
+    read, names = _names_reached(_interval_sides)
+    assert {"w_witness", "_window_has_prime"} <= read
+    assert {"gcd", "_window_has_prime"} <= names
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        (w_witness, ([True, 2, 3],)),
+        (w_witness, ([1, 2.5],)),
+        (prime_interval_equivalence, (True,)),
+        (interval_equivalence_scan, (2.0,)),
+        (grimm_assign, (2.5, 3)),
+        (grimm_assign, (24, True)),
+        (grimm_scan, (True,)),
+        (composite_runs, (10.0,)),
+        (non_w_max_run, (True, 3)),
+        (non_w_max_run, (5, 3.0)),
+        (default_window_bound, (2.5,)),
+    ],
+)
+def test_bool_and_float_arguments_are_domain_errors(op, args):
+    with pytest.raises(DomainError, match="must be an integer, got (bool|float)"):
+        op(*args)
 
 
 def test_window_with_large_prime_is_a_w_sequence():
@@ -241,3 +378,5 @@ def test_non_w_max_run_domain_and_cap():
         non_w_max_run(10, 0)
     with pytest.raises(DomainError):
         non_w_max_run(10, 50, window_cap=20)
+    with pytest.raises(DomainError, match="got n_max = <16610-bit integer>"):
+        non_w_max_run(10, 10**5000)
