@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, _integer, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .euclid import _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
@@ -44,14 +44,6 @@ class UnimodularMatrix:
     @property
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def multiply(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
@@ -110,8 +102,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
     The pairs are taken as given, not reduced first. The prediction uses the
     natural logarithm.
     """
-    if _integer(a, "a") < 2:
-        raise DomainError(f"yao_knuth_stat needs a >= 2, got {_shown(a)}")
+    _at_least(a, "a", 2, "yao_knuth_stat")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:
         raise ResourceLimitError(f"yao_knuth_stat({_shown(a)}): scan budget is {budget}")
@@ -127,8 +118,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
 
 def average_cf_length(a: int, *, scan_budget: int | None = None) -> float:
     """Mean number of division steps for a/b over b = 1..a (report-only)."""
-    if _integer(a, "a") < 2:
-        raise DomainError(f"average_cf_length needs a >= 2, got {_shown(a)}")
+    _at_least(a, "a", 2, "average_cf_length")
     budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
     if a > budget:
         raise ResourceLimitError(f"average_cf_length({_shown(a)}): scan budget is {budget}")

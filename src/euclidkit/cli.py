@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     HypothesisFailedError,
     ResourceLimitError,
+    _at_least,
 )
 from .integers import rational_str
 
@@ -191,6 +192,7 @@ def _cmd_reciprocity_scan(args, report: Report) -> None:
     """verify reciprocity on all coprime pairs up to --limit"""
     if args.limit is None:
         raise UsageError("reciprocity-scan needs --limit")
+    _at_least(args.limit, "limit", 0, "reciprocity-scan")
     pairs = 0
     for k in range(1, args.limit + 1):
         for h in range(1, k):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _at_least, _integer, _shown
 
 
 def sawtooth(x) -> Fraction:
@@ -28,8 +28,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     for a not a multiple of k, ((a/k)) = (2a - k) / (2k).
     """
     _integer(h, "h")
-    if _integer(k, "k") < 1:
-        raise DomainError(f"dedekind_sum needs k >= 1, got {k}")
+    _at_least(k, "k", 1, "dedekind_sum")
     total = 0
     for a in range(1, k):
         ah = (a * h) % k
@@ -44,9 +43,11 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
     _integer(h, "h")
     _integer(k, "k")
     if h < 1 or k < 1:
-        raise DomainError(f"reciprocity_residual needs h, k >= 1, got ({h}, {k})")
+        raise DomainError(f"reciprocity_residual needs h, k >= 1, got ({_shown(h)}, {_shown(k)})")
     if _gcd(h, k) != 1:
-        raise DomainError(f"reciprocity_residual needs coprime h, k, got ({h}, {k})")
+        raise DomainError(
+            f"reciprocity_residual needs coprime h, k, got ({_shown(h)}, {_shown(k)})"
+        )
     lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
     rhs = Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4)
     return lhs - rhs

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the integer check every layer
-validates its arguments with, and the formatter its messages show values by."""
+"""Exception types shared across the package, the integer and range checks
+every layer validates its arguments with, and how its messages show values."""
 
 
 class DomainError(ValueError):
@@ -23,6 +23,12 @@ def _integer(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
     return value
+
+
+def _at_least(value: int, name: str, least: int, caller: str) -> None:
+    """Check that value, caller's argument name, is an integer >= least."""
+    if _integer(value, name) < least:
+        raise DomainError(f"{caller} needs {name} >= {least}, got {_shown(value)}")
 
 
 def _shown(value) -> str:

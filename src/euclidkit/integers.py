@@ -1,4 +1,4 @@
-"""Exact natural-number arithmetic: division, primes, factorization, divisor sums.
+"""Exact natural-number arithmetic: primes, factorization, divisor sums.
 
 Everything runs on Python's unbounded ints. Rationals are fractions.Fraction,
 which already keeps values reduced with a positive denominator.
@@ -11,32 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, ResourceLimitError, _integer
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_FACTOR_BUDGET = 10**7
 
 
-def _natural(value: int, name: str) -> int:
-    if _integer(value, name) < 0:
-        raise DomainError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def divmod(a: int, b: int) -> tuple[int, int]:  # noqa: A001 - it is the division op
-    """The unique pair (q, r) with a = b*q + r and 0 <= r < b."""
-    _natural(a, "a")
-    _natural(b, "b")
-    if b == 0:
-        raise ZeroDivisionError("divmod: divisor must be at least 1")
-    return a // b, a % b
-
-
 def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
     """Least prime dividing n >= 2; n is prime exactly when this returns n."""
-    _natural(n, "n")
-    if n < 2:
-        raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
+    _at_least(n, "n", 2, "smallest_prime_factor")
     if n % 2 == 0:
         return 2
     budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
@@ -46,7 +29,7 @@ def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
         steps += 1
         if steps > budget:
             raise ResourceLimitError(
-                f"smallest_prime_factor({n}): exceeded {budget} trial divisions"
+                f"smallest_prime_factor({_shown(n)}): exceeded {budget} trial divisions"
             )
         if n % d == 0:
             return d
@@ -56,10 +39,10 @@ def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
 
 def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
     """All primes <= limit, ascending, by sieve of Eratosthenes."""
-    _natural(limit, "limit")
+    _at_least(limit, "limit", 0, "primes_up_to")
     budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
     if limit > budget:
-        raise ResourceLimitError(f"primes_up_to({limit}): sieve limit is {budget}")
+        raise ResourceLimitError(f"primes_up_to({_shown(limit)}): sieve limit is {budget}")
     if limit < 2:
         return []
     flags = bytearray(b"\x01") * (limit + 1)
@@ -102,9 +85,7 @@ class Factorization:
 
 def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
     """Full trial-division factorization of n >= 1."""
-    _natural(n, "n")
-    if n < 1:
-        raise DomainError(f"factorize needs n >= 1, got {n}")
+    _at_least(n, "n", 1, "factorize")
     budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
     factors: list[tuple[int, int]] = []
     rest = n
@@ -119,7 +100,7 @@ def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
     while d * d <= rest:
         steps += 1
         if steps > budget:
-            raise ResourceLimitError(f"factorize({n}): exceeded {budget} trial divisions")
+            raise ResourceLimitError(f"factorize({_shown(n)}): exceeded {budget} trial divisions")
         if rest % d == 0:
             exponent = 0
             while rest % d == 0:
@@ -134,9 +115,7 @@ def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
 
 def sigma(n: int, *, step_budget: int | None = None) -> int:
     """Sum of every positive divisor of n, n itself included."""
-    _natural(n, "n")
-    if n < 1:
-        raise DomainError(f"sigma needs n >= 1, got {n}")
+    _at_least(n, "n", 1, "sigma")
     total = 1
     for prime, exponent in factorize(n, step_budget=step_budget).factors:
         total *= (prime ** (exponent + 1) - 1) // (prime - 1)
@@ -145,9 +124,8 @@ def sigma(n: int, *, step_budget: int | None = None) -> int:
 
 def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
     """Whether 2**p - 1 is prime, for a prime exponent p."""
-    _natural(p, "p")
-    if p < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
-        raise DomainError(f"lucas_lehmer needs a prime exponent, got {p}")
+    if _integer(p, "p") < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
+        raise DomainError(f"lucas_lehmer needs a prime exponent, got {_shown(p)}")
     if p == 2:
         return True
     modulus = (1 << p) - 1

@@ -7,11 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, HypothesisFailedError, ResourceLimitError
+from .errors import (
+    DomainError,
+    HypothesisFailedError,
+    ResourceLimitError,
+    _at_least,
+    _integer,
+    _shown,
+)
 from .euclid import gcd_subtractive
 from .integers import DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
-
-MERSENNE_EXPONENT_CAP = 61  # scan ceiling for exponent searches
 
 
 class LemmaWitness(Enum):
@@ -48,11 +53,12 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
     Requires distinct inputs unless both are 1; equal inputs above 1 measure
     each other and the chain never alternates.
     """
-    if a == b:
+    if _integer(a, "a") == _integer(b, "b"):
         if a == 1:
             return True
         raise DomainError(
-            f"coprime_by_prop1 needs distinct inputs unless both are 1, got ({a}, {b})"
+            "coprime_by_prop1 needs distinct inputs unless both are 1,"
+            f" got ({_shown(a)}, {_shown(b)})"
         )
     g, _ = gcd_subtractive(a, b, step_budget=step_budget)
     return g == 1
@@ -60,10 +66,13 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
 
 def euclid_lemma_witness(p: int, a: int, b: int) -> LemmaWitness:
     """For prime p, report which factor of a*b it divides (preferring a)."""
+    _integer(p, "p")
+    _integer(a, "a")
+    _integer(b, "b")
     if p < 2 or smallest_prime_factor(p) != p:
-        raise DomainError(f"euclid_lemma_witness needs a prime p, got {p}")
+        raise DomainError(f"euclid_lemma_witness needs a prime p, got {_shown(p)}")
     if a < 1 or b < 1:
-        raise DomainError(f"euclid_lemma_witness needs a, b >= 1, got ({a}, {b})")
+        raise DomainError(f"euclid_lemma_witness needs a, b >= 1, got ({_shown(a)}, {_shown(b)})")
     if (a * b) % p != 0:
         return LemmaWitness.NEITHER
     if a % p == 0:
@@ -78,10 +87,10 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
     E = 1 + product leaves remainder 1 on division by every input, so its
     smallest prime factor is new. The empty list yields E = 2.
     """
-    plist = sorted(primes)
+    plist = sorted(_integer(p, "primes[i]") for p in primes)
     for p in plist:
         if p < 2 or smallest_prime_factor(p) != p:
-            raise DomainError(f"euclid_prime_extension needs primes, got {p}")
+            raise DomainError(f"euclid_prime_extension needs primes, got {_shown(p)}")
     if len(set(plist)) != len(plist):
         raise DomainError("euclid_prime_extension needs distinct primes")
     e = 1
@@ -96,8 +105,8 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
 def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectCertificate:
     """Build the even perfect number for Mersenne exponent p and verify its
     divisor sum by the independent sigma computation."""
-    if p < 2 or smallest_prime_factor(p) != p:
-        raise DomainError(f"perfect_from_mersenne needs a prime exponent, got {p}")
+    if _integer(p, "p") < 2 or smallest_prime_factor(p) != p:
+        raise DomainError(f"perfect_from_mersenne needs a prime exponent, got {_shown(p)}")
     if not lucas_lehmer(p):
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
@@ -117,8 +126,7 @@ def classify_perfect(n: int, *, step_budget: int | None = None) -> int | None:
     odd part prime; that shape is asserted and checked, and an odd perfect
     number (never seen) would be reported loudly rather than classified.
     """
-    if n < 1:
-        raise DomainError(f"classify_perfect needs n >= 1, got {n}")
+    _at_least(n, "n", 1, "classify_perfect")
     if sigma(n, step_budget=step_budget) != 2 * n:
         return None
     if n % 2:
@@ -161,11 +169,10 @@ def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[i
     sigma by trial division, so the fast path cannot smuggle in a wrong hit.
     A limit above sieve_budget is refused before anything is allocated.
     """
-    if limit < 1:
-        raise DomainError(f"perfect_scan needs limit >= 1, got {limit}")
+    _at_least(limit, "limit", 1, "perfect_scan")
     budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
     if limit > budget:
-        raise ResourceLimitError(f"perfect_scan({limit}): sieve limit is {budget}")
+        raise ResourceLimitError(f"perfect_scan({_shown(limit)}): sieve limit is {budget}")
     out: list[tuple[int, int]] = []
     for n in _sigma_sieve(limit):
         if n == 0:

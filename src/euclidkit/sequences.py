@@ -4,11 +4,11 @@ prime divisors for composite runs, and witness-free run lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from math import ceil, gcd, log, prod
 from operator import lt
 
-from .errors import DomainError, _integer, _shown
+from .errors import DomainError, _at_least, _integer, _shown
 from .integers import _window_has_prime, factorize, primes_up_to, smallest_prime_factor
 
 DEFAULT_WINDOW_CAP = 10**4
@@ -53,8 +53,7 @@ def _increasing_naturals(seq) -> tuple[int, ...]:
         for v in values:
             _integer(v, "values[i]")
     if min(values) < 1:
-        bad = next(v for v in values if v < 1)
-        raise DomainError(f"w_witness needs naturals >= 1, got {bad!r}")
+        _at_least(next(v for v in values if v < 1), "naturals", 1, "w_witness")
     if not all(map(lt, values, islice(values, 1, None))):
         raise DomainError("w_witness needs a strictly increasing sequence")
     return values
@@ -99,8 +98,7 @@ def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tu
     The first boolean comes from a primality sieve of the window, the second
     from block products and gcds only.
     """
-    if _integer(m, "m") < 1:
-        raise DomainError(f"prime_interval_equivalence needs m >= 1, got {_shown(m)}")
+    _at_least(m, "m", 1, "prime_interval_equivalence")
     # isqrt((m+1)^2 - 1) == m bounds the window's base primes
     return _interval_sides(m, primes_up_to(m, sieve_budget=sieve_budget))
 
@@ -110,8 +108,7 @@ def interval_equivalence_scan(
 ) -> list[tuple[int, bool, bool]]:
     """(m, *prime_interval_equivalence(m)) for m = 1..limit, with the base
     primes up to limit sieved once for every window."""
-    if _integer(limit, "limit") < 0:
-        raise DomainError(f"interval_equivalence_scan needs limit >= 0, got {_shown(limit)}")
+    _at_least(limit, "limit", 0, "interval_equivalence_scan")
     base_primes = primes_up_to(limit, sieve_budget=sieve_budget)
     return [(m, *_interval_sides(m, base_primes)) for m in range(1, limit + 1)]
 
@@ -124,15 +121,14 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
     primes dividing them; positions and primes are tried in ascending order,
     so the result is deterministic.
     """
-    if _integer(m, "m") < 0:
-        raise DomainError(f"grimm_assign needs m >= 0, got {_shown(m)}")
-    if _integer(n, "n") < 1:
-        raise DomainError(f"grimm_assign needs n >= 1, got {_shown(n)}")
+    _at_least(m, "m", 0, "grimm_assign")
+    _at_least(n, "n", 1, "grimm_assign")
     divisors: list[list[int]] = []
     for value in range(m + 1, m + n + 1):
-        if value < 4 or smallest_prime_factor(value, step_budget=step_budget) == value:
+        factorization = factorize(value, step_budget=step_budget)
+        if sum(exponent for _, exponent in factorization.factors) < 2:
             raise DomainError(f"window element {_shown(value)} is not composite")
-        divisors.append(factorize(value, step_budget=step_budget).primes())
+        divisors.append(factorization.primes())
 
     owner: dict[int, int] = {}  # prime -> position currently using it
 
@@ -158,8 +154,7 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
 def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
     """Maximal runs of consecutive composites with last element <= limit,
     as (m, n) meaning the run is m+1 .. m+n."""
-    if _integer(limit, "limit") < 4:
-        raise DomainError(f"composite_runs needs limit >= 4, got {_shown(limit)}")
+    _at_least(limit, "limit", 4, "composite_runs")
     primes = primes_up_to(limit + 1, sieve_budget=sieve_budget)
     out: list[tuple[int, int]] = []
     for p, q in zip(primes, primes[1:]):
@@ -212,31 +207,19 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     it is reported infeasible; disagreement between the two searches is a bug
     and raises.
     """
-    if _integer(limit, "limit") < 4:
-        raise DomainError(f"grimm_scan needs limit >= 4, got {_shown(limit)}")
-    # sieve far enough to see the first prime beyond limit
-    horizon = limit + 2
-    primes = primes_up_to(horizon, sieve_budget=sieve_budget)
-    while not primes or primes[-1] <= limit:
-        horizon += max(1000, horizon // 10)
-        primes = primes_up_to(horizon, sieve_budget=sieve_budget)
+    _at_least(limit, "limit", 4, "grimm_scan")
+    runs = composite_runs(limit, sieve_budget=sieve_budget)
+    last = runs[-1][0] + runs[-1][1] + 1  # the largest prime <= limit + 1
+    if last <= limit:  # its run reaches past limit: close it at the next prime
+        beyond = next(v for v in count(limit + 2) if smallest_prime_factor(v) == v)
+        runs.append((last, beyond - last - 1))
     results = []
-    for p, q in zip(primes, primes[1:]):
-        if p >= limit:
-            break
-        n = q - p - 1
-        if n < 1:
-            continue
+    for p, n in runs:
         result = grimm_assign(p, n)
         if result is None:
-            confirmed = (
-                _assignment_by_backtracking(
-                    [factorize(v).primes() for v in range(p + 1, q)]
-                )
-                is None
-            )
-            if not confirmed:
-                raise RuntimeError(f"matching and exhaustive search disagree at run {p}+1..{q}-1")
+            divisor_sets = [factorize(v).primes() for v in range(p + 1, p + n + 1)]
+            if _assignment_by_backtracking(divisor_sets) is not None:
+                raise RuntimeError(f"matching and backtracking disagree at run {p}+1..{p + n}")
             results.append((p, n, False, (), False))
             continue
         results.append((p, n, True, result.assignment, verify_assignment(result)))
@@ -245,18 +228,15 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
 
 def default_window_bound(m: int) -> int:
     """Default search ceiling for witness-free runs: ceil(4 * ln(m+2)^2)."""
-    if _integer(m, "m") < 0:
-        raise DomainError(f"default_window_bound needs m >= 0, got {_shown(m)}")
+    _at_least(m, "m", 0, "default_window_bound")
     return max(1, ceil(4 * log(m + 2) ** 2))
 
 
 def non_w_max_run(m: int, n_max: int, *, window_cap: int | None = None) -> int:
     """Largest n <= n_max such that m+1 .. m+n has no coprime witness (0 if
     every length has one). Checks every n: witness-freeness is not monotone."""
-    if _integer(m, "m") < 0:
-        raise DomainError(f"non_w_max_run needs m >= 0, got {_shown(m)}")
-    if _integer(n_max, "n_max") < 1:
-        raise DomainError(f"non_w_max_run needs n_max >= 1, got {_shown(n_max)}")
+    _at_least(m, "m", 0, "non_w_max_run")
+    _at_least(n_max, "n_max", 1, "non_w_max_run")
     cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
     if n_max > cap:
         raise DomainError(f"non_w_max_run window cap is {cap}, got n_max = {_shown(n_max)}")

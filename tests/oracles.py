@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to fix expected values in the tests.
 
 Nothing here shares code with the package: gcds come from divisor
-enumeration, divisions and subtractive traces from repeated subtraction,
+enumeration, subtractive traces from repeated subtraction,
 orbits of the subtractive map from single steps and their matrix products,
 primality from bare trial division, divisor sums from scanning every
 candidate divisor, Dedekind sums from literal term-by-term rational
@@ -21,16 +21,6 @@ def gcd_by_enumeration(a: int, b: int) -> int:
         if a % c == 0 and b % c == 0:
             return c
     raise AssertionError("unreachable for a, b >= 1")
-
-
-def divmod_by_subtraction(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder by counting subtractions of b from a."""
-    q = 0
-    r = a
-    while r >= b:
-        r -= b
-        q += 1
-    return q, r
 
 
 def subtractive_steps_by_loop(a: int, b: int) -> list[tuple[int, int, None, int]]:

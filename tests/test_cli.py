@@ -644,6 +644,17 @@ ERROR_GOLDENS = [
         },
         id="gcd-subtractive-budget",
     ),
+    pytest.param(
+        ["reciprocity-scan", "--limit", "-3"],
+        2,
+        {
+            "text": "reciprocity-scan  format=text limit=-3\n"
+            "VIOLATION: reciprocity-scan needs limit >= 0, got -3\n",
+            "report": "command: reciprocity-scan\nparam format: report\nparam limit: -3\n"
+            "violation: reciprocity-scan needs limit >= 0, got -3\n",
+        },
+        id="reciprocity-scan-negative-limit",
+    ),
 ]
 
 
@@ -712,6 +723,14 @@ def test_perfect_scan_honours_budget(capsys):
         "",
         "perfect  budget=1 format=text scan=10000\n"
         "VIOLATION: perfect_scan(10000): sieve limit is 1\n",
+    )
+
+
+def test_reciprocity_scan_limit_zero_checks_no_pair(capsys):
+    assert run_main(capsys, "reciprocity-scan", "--limit", "0") == (
+        0,
+        "reciprocity-scan  format=text limit=0\npairs_checked = 0\nnonzero_residuals = 0\n",
+        "",
     )
 
 

@@ -1,4 +1,4 @@
-"""Division, factorization, sigma, and Lucas-Lehmer against brute-force oracles."""
+"""Primes, factorization, sigma, and Lucas-Lehmer against brute-force oracles."""
 
 from fractions import Fraction
 from math import isqrt
@@ -15,45 +15,16 @@ from euclidkit import (
     dedekind_sum,
     factorize,
     lucas_lehmer,
+    perfect_scan,
     primes_up_to,
     rational_str,
     reciprocity_residual,
     sigma,
     smallest_prime_factor,
+    w_witness,
     yao_knuth_stat,
 )
-from euclidkit.integers import divmod  # noqa: A004 - the division op by design
-from oracles import divmod_by_subtraction, is_prime_trial, sigma_by_enumeration
-
-# ---------------------------------------------------------------------------
-# divmod
-
-
-def test_divmod_frozen_values():
-    assert divmod(240, 46) == (5, 10)
-    assert divmod(7, 7) == (1, 0)
-    assert divmod(3, 7) == (0, 3)
-    assert divmod(0, 5) == (0, 0)
-    assert divmod(10**30, 7) == (10**30 // 7, 10**30 % 7)
-
-
-def test_divmod_matches_repeated_subtraction_up_to_1000():
-    for a in range(0, 1001):
-        for b in range(1, 1001):
-            q, r = divmod(a, b)
-            assert a == b * q + r
-            assert 0 <= r < b
-            assert (q, r) == divmod_by_subtraction(a, b)
-
-
-def test_divmod_rejects_zero_divisor_and_negatives():
-    with pytest.raises(ZeroDivisionError):
-        divmod(5, 0)
-    with pytest.raises(DomainError):
-        divmod(-1, 3)
-    with pytest.raises(DomainError):
-        divmod(3, -1)
-
+from oracles import is_prime_trial, sigma_by_enumeration
 
 # ---------------------------------------------------------------------------
 # smallest_prime_factor / primes_up_to
@@ -228,3 +199,33 @@ def test_rational_str_frozen_values():
 def test_bool_and_float_arguments_are_domain_errors(op, args):
     with pytest.raises(DomainError, match="must be an integer, got (bool|float)"):
         op(*args)
+
+
+# Messages show an int too long for str() by its size, so these raise their
+# typed error instead of the ValueError str() gives past 4,300 digits.
+@pytest.mark.parametrize(
+    "op, args, kwargs, error",
+    [
+        (primes_up_to, (10**5000,), {}, ResourceLimitError),
+        (smallest_prime_factor, (10**5000 + 1,), {"step_budget": 3}, ResourceLimitError),
+        (factorize, (10**5000 + 1,), {"step_budget": 3}, ResourceLimitError),
+        (perfect_scan, (10**5000,), {}, ResourceLimitError),
+        (dedekind_sum, (1, -(10**5000)), {}, DomainError),
+        (reciprocity_residual, (10**5000, 10**5000), {}, DomainError),
+        (w_witness, ([-(10**5000), 1],), {}, DomainError),
+    ],
+)
+def test_huge_arguments_keep_their_typed_errors(op, args, kwargs, error):
+    with pytest.raises(error, match="<16610-bit integer>"):
+        op(*args, **kwargs)
+
+
+def test_negative_arguments_name_the_least_value():
+    with pytest.raises(DomainError, match=r"^primes_up_to needs limit >= 0, got -1$"):
+        primes_up_to(-1)
+    with pytest.raises(DomainError, match=r"^smallest_prime_factor needs n >= 2, got -1$"):
+        smallest_prime_factor(-1)
+    with pytest.raises(DomainError, match=r"^sigma needs n >= 1, got -1$"):
+        sigma(-1)
+    with pytest.raises(DomainError, match=r"^lucas_lehmer needs a prime exponent, got -3$"):
+        lucas_lehmer(-3)

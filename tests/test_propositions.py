@@ -170,3 +170,25 @@ def test_euler_decomposition_round_trips():
         cert = perfect_from_mersenne(p)
         assert cert.value == n
         assert classify_perfect(n) == p
+
+
+# ---------------------------------------------------------------------------
+# one integer check for every entry point, naming its own argument
+
+
+@pytest.mark.parametrize(
+    "op, args, name",
+    [
+        (perfect_scan, (True,), "limit"),
+        (perfect_scan, (2.5,), "limit"),
+        (classify_perfect, (True,), "n"),
+        (coprime_by_prop1, (True, True), "a"),
+        (euclid_lemma_witness, (2, True, 4), "a"),
+        (euclid_lemma_witness, (2.0, 3, 4), "p"),
+        (euclid_prime_extension, ([2, True],), r"primes\[i\]"),
+        (perfect_from_mersenne, (True,), "p"),
+    ],
+)
+def test_bool_and_float_arguments_are_domain_errors(op, args, name):
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got (bool|float)$"):
+        op(*args)

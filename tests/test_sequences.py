@@ -190,14 +190,21 @@ _PRIMALITY = {"primes_up_to", "factorize", "smallest_prime_factor", "_window_has
 
 def test_witness_side_tests_no_primality():
     read, names = _names_reached(w_witness)
-    assert read == {"w_witness", "_increasing_naturals", "_integer", "_shares_factor"}
+    assert read == {
+        "w_witness",
+        "_increasing_naturals",
+        "_at_least",
+        "_integer",
+        "_shown",
+        "_shares_factor",
+    }
     assert "gcd" in names
     assert not names & _PRIMALITY
 
 
 def test_prime_side_takes_no_gcd():
     read, names = _names_reached(_window_has_prime, primes_up_to)
-    assert read == {"_window_has_prime", "primes_up_to", "_natural", "_integer"}
+    assert read == {"_window_has_prime", "primes_up_to", "_at_least", "_integer", "_shown"}
     assert "gcd" not in names
 
 
@@ -328,6 +335,17 @@ def test_grimm_scan_small_horizon():
     assert all(matched and validated for _, _, matched, _, validated in results)
     starts = [m for m, *_ in results]
     assert starts == [s for s, _ in composite_runs(1020) if s < 1000]
+
+
+def test_grimm_scan_keeps_the_run_that_starts_at_limit():
+    assert grimm_scan(7) == [
+        (3, 1, True, (2,), True),
+        (5, 1, True, (2,), True),
+        (7, 3, True, (2, 3, 5), True),
+    ]
+    for limit in range(4, 201):
+        runs = [(m, n) for m, n, *_ in grimm_scan(limit)]
+        assert runs == [(s, n) for s, n in composite_runs(2 * limit) if s <= limit], limit
 
 
 # ---------------------------------------------------------------------------
