@@ -8,10 +8,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
-from .euclid import _quotient_runs, gcd_remainder
+from .euclid import DEFAULT_STEP_BUDGET, _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
-DEFAULT_STEP_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

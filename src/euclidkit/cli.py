@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -24,27 +25,36 @@ from .errors import (
     HypothesisFailedError,
     ResourceLimitError,
     _at_least,
+    _shown,
 )
 from .integers import rational_str
 
 
 @dataclass
 class Report:
-    """Everything a subcommand produced, ready for either renderer."""
+    """Everything a subcommand produced; rows and summary hold raw values."""
 
     command: str
     parameters: dict[str, str] = field(default_factory=dict)
-    rows: list[dict[str, str]] = field(default_factory=list)
-    summary: dict[str, str] = field(default_factory=dict)
+    rows: list[dict[str, object]] = field(default_factory=list)
+    summary: dict[str, object] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _real(value: float) -> str:
-    return format(value, ".15g")
+def _field(value) -> str:
+    """A report value as both renderers write it. An int past the digit limit
+    reads "<n-bit integer>", as in error messages."""
+    if type(value) is int:  # first: most fields are ints
+        return _shown(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_field, value))
+    if isinstance(value, float):
+        return format(value, ".15g")
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    return str(value)
 
 
 def render_report(report: Report) -> str:
@@ -52,9 +62,9 @@ def render_report(report: Report) -> str:
     for key in sorted(report.parameters):
         lines.append(f"param {key}: {report.parameters[key]}")
     for row in report.rows:
-        lines.append("row " + " ".join(f"{k}={v}" for k, v in row.items()))
+        lines.append("row " + " ".join(f"{k}={_field(v)}" for k, v in row.items()))
     for key, value in report.summary.items():
-        lines.append(f"summary {key}: {value}")
+        lines.append(f"summary {key}: {_field(value)}")
     for message in report.violations:
         lines.append(f"violation: {message}")
     return "\n".join(lines) + "\n"
@@ -67,9 +77,9 @@ def render_text(report: Report) -> str:
         headline += "  " + params
     lines = [headline]
     for row in report.rows:
-        lines.append("  " + " ".join(f"{k}={v}" for k, v in row.items()))
+        lines.append("  " + " ".join(f"{k}={_field(v)}" for k, v in row.items()))
     for key, value in report.summary.items():
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {_field(value)}")
     for message in report.violations:
         lines.append(f"VIOLATION: {message}")
     return "\n".join(lines) + "\n"
@@ -84,13 +94,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, str]]:
+def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, int]]:
     rows = []
     for index, step in enumerate(trace.steps, start=1):
-        row = {"step": str(index), "larger": str(step.larger), "smaller": str(step.smaller)}
+        row = {"step": index, "larger": step.larger, "smaller": step.smaller}
         if step.quotient is not None:
-            row["quotient"] = str(step.quotient)
-        row["remainder"] = str(step.remainder)
+            row["quotient"] = step.quotient
+        row["remainder"] = step.remainder
         rows.append(row)
     return rows
 
@@ -99,20 +109,19 @@ def _cmd_gcd(args, report: Report) -> None:
     """gcd with a replayable trace"""
     if args.method == "subtractive":
         g, trace = euclid.gcd_subtractive(args.a, args.b, step_budget=args.budget)
+    elif args.budget is not None:
+        raise UsageError("gcd --budget needs --method subtractive")
     else:
         g, trace = euclid.gcd_remainder(args.a, args.b)
     if args.trace:
         report.rows = _trace_rows(trace)
-    report.summary["gcd"] = str(g)
-    report.summary["step_count"] = str(trace.step_count)
+    report.summary.update(gcd=g, step_count=trace.step_count)
 
 
 def _cmd_xgcd(args, report: Report) -> None:
     """Bezout certificate by back-substitution"""
     cert = euclid.xgcd(args.a, args.b)
-    report.summary["g"] = str(cert.g)
-    report.summary["x"] = str(cert.x)
-    report.summary["y"] = str(cert.y)
+    report.summary.update(g=cert.g, x=cert.x, y=cert.y)
 
 
 def _cmd_div_from_bezout(args, report: Report) -> None:
@@ -127,37 +136,31 @@ def _cmd_div_from_bezout(args, report: Report) -> None:
     quotient, remainder = euclid.division_from_bezout(
         args.a, args.b, cert, step_budget=args.budget
     )
-    report.summary["g"] = str(cert.g)
-    report.summary["cert_x"] = str(cert.x)
-    report.summary["cert_y"] = str(cert.y)
-    report.summary["quotient"] = str(quotient)
-    report.summary["remainder"] = str(remainder)
+    report.summary.update(
+        g=cert.g, cert_x=cert.x, cert_y=cert.y, quotient=quotient, remainder=remainder
+    )
 
 
 def _cmd_lowest_terms(args, report: Report) -> None:
     """reduce a pair by its gcd"""
     num, den = euclid.lowest_terms(args.a, args.b)
-    report.summary["reduced_a"] = str(num)
-    report.summary["reduced_b"] = str(den)
+    report.summary.update(reduced_a=num, reduced_b=den)
 
 
 def _cmd_cf(args, report: Report) -> None:
     """continued fraction of a/b and its round trip"""
     cf = cf_dynamics.cf_expand(args.a, args.b)
-    num, den = cf_dynamics.cf_value(cf)
-    report.summary["quotients"] = ",".join(str(q) for q in cf.quotients)
-    report.summary["length"] = str(len(cf.quotients))
-    report.summary["value"] = f"{num}/{den}"
+    value = Fraction(*cf_dynamics.cf_value(cf))
+    report.summary.update(quotients=cf.quotients, length=len(cf.quotients), value=value)
 
 
 def _cmd_yao_knuth(args, report: Report) -> None:
     """sum of all partial quotients up to a"""
     stat = cf_dynamics.yao_knuth_stat(args.a, scan_budget=args.budget)
     mean_len = cf_dynamics.average_cf_length(args.a, scan_budget=args.budget)
-    report.summary["total"] = str(stat.total)
-    report.summary["predicted"] = _real(stat.predicted)
-    report.summary["ratio"] = _real(stat.ratio)
-    report.summary["mean_cf_length"] = _real(mean_len)
+    report.summary.update(
+        total=stat.total, predicted=stat.predicted, ratio=stat.ratio, mean_cf_length=mean_len
+    )
 
 
 def _cmd_dynamics(args, report: Report) -> None:
@@ -169,23 +172,23 @@ def _cmd_dynamics(args, report: Report) -> None:
         for step in range(1, run.step_count + 1):
             step_matrix = TOP_MINUS_BOTTOM if x >= y else BOTTOM_MINUS_TOP
             x, y = step_matrix.apply(x, y)
-            report.rows.append({"step": str(step), "x": str(x), "y": str(y)})
+            report.rows.append({"step": step, "x": x, "y": y})
         if (x, y) != run.terminal:
             report.violations.append(f"replay ends at ({x}, {y}), not at {run.terminal}")
-    report.summary["step_count"] = str(run.step_count)
-    report.summary["terminal_x"] = str(run.terminal[0])
-    report.summary["terminal_y"] = str(run.terminal[1])
-    report.summary["gcd"] = str(max(run.terminal))
     product = run.product
-    report.summary["product"] = ",".join(
-        str(v) for v in (product.m11, product.m12, product.m21, product.m22)
+    report.summary.update(
+        step_count=run.step_count,
+        terminal_x=run.terminal[0],
+        terminal_y=run.terminal[1],
+        gcd=max(run.terminal),
+        product=(product.m11, product.m12, product.m21, product.m22),
+        determinant=product.determinant,
     )
-    report.summary["determinant"] = str(product.determinant)
 
 
 def _cmd_dedekind(args, report: Report) -> None:
     """exact Dedekind sum s(h, k)"""
-    report.summary["value"] = rational_str(dedekind.dedekind_sum(args.h, args.k))
+    report.summary["value"] = dedekind.dedekind_sum(args.h, args.k)
 
 
 def _cmd_reciprocity_scan(args, report: Report) -> None:
@@ -201,11 +204,8 @@ def _cmd_reciprocity_scan(args, report: Report) -> None:
             pairs += 1
             residual = dedekind.reciprocity_residual(h, k)
             if residual != 0:
-                report.violations.append(
-                    f"nonzero residual at h={h} k={k}: {rational_str(residual)}"
-                )
-    report.summary["pairs_checked"] = str(pairs)
-    report.summary["nonzero_residuals"] = str(len(report.violations))
+                report.violations.append(f"nonzero residual at h={h} k={k}: {_field(residual)}")
+    report.summary.update(pairs_checked=pairs, nonzero_residuals=len(report.violations))
 
 
 def _cmd_perfect(args, report: Report) -> None:
@@ -214,29 +214,25 @@ def _cmd_perfect(args, report: Report) -> None:
         raise UsageError("perfect needs an exponent or --scan, not both")
     if args.scan is not None:
         for n, p in propositions.perfect_scan(args.scan, sieve_budget=args.budget):
-            report.rows.append({"n": str(n), "p": str(p)})
-        report.summary["count"] = str(len(report.rows))
+            report.rows.append({"n": n, "p": p})
+        report.summary["count"] = len(report.rows)
         return
     cert = propositions.perfect_from_mersenne(args.p, step_budget=args.budget)
-    report.summary["mersenne"] = str(cert.mersenne)
-    report.summary["value"] = str(cert.value)
-    report.summary["sigma"] = str(cert.sigma_value)
+    report.summary.update(mersenne=cert.mersenne, value=cert.value, sigma=cert.sigma_value)
 
 
 def _cmd_euclid_extend(args, report: Report) -> None:
     """a prime outside any finite list"""
     extension = propositions.euclid_prime_extension(args.primes, step_budget=args.budget)
-    report.summary["e"] = str(extension.e_value)
-    report.summary["new_prime"] = str(extension.new_prime)
+    report.summary.update(e=extension.e_value, new_prime=extension.new_prime)
 
 
 def _cmd_wseq(args, report: Report) -> None:
     """least coprime witness of a sequence"""
     result = sequences.w_witness(args.values)
     is_w = result.witness_index is not None
-    report.summary["is_w"] = _bool(is_w)
-    report.summary["witness_index"] = str(result.witness_index) if is_w else "none"
-    report.summary["witness_value"] = str(result.witness_value) if is_w else "none"
+    index, value = (result.witness_index, result.witness_value) if is_w else ("none", "none")
+    report.summary.update(is_w=is_w, witness_index=index, witness_value=value)
 
 
 def _cmd_interval_equiv(args, report: Report) -> None:
@@ -249,18 +245,15 @@ def _cmd_interval_equiv(args, report: Report) -> None:
             if prime_exists != is_w:
                 mismatches += 1
                 report.violations.append(
-                    f"m={m}: prime_exists={_bool(prime_exists)} is_w={_bool(is_w)}"
+                    f"m={m}: prime_exists={_field(prime_exists)} is_w={_field(is_w)}"
                 )
-        report.summary["checked"] = str(args.scan)
-        report.summary["mismatches"] = str(mismatches)
+        report.summary.update(checked=args.scan, mismatches=mismatches)
         return
     prime_exists, is_w = sequences.prime_interval_equivalence(args.m)
-    report.summary["prime_exists"] = _bool(prime_exists)
-    report.summary["is_w"] = _bool(is_w)
-    report.summary["equal"] = _bool(prime_exists == is_w)
+    report.summary.update(prime_exists=prime_exists, is_w=is_w, equal=prime_exists == is_w)
     if prime_exists != is_w:
         report.violations.append(
-            f"m={args.m}: prime_exists={_bool(prime_exists)} is_w={_bool(is_w)}"
+            f"m={args.m}: prime_exists={_field(prime_exists)} is_w={_field(is_w)}"
         )
 
 
@@ -274,33 +267,24 @@ def _cmd_grimm(args, report: Report) -> None:
     if args.scan is not None:
         matched_runs = 0
         for m, n, matched, assignment, validated in sequences.grimm_scan(args.scan):
-            row = {
-                "m": str(m),
-                "n": str(n),
-                "matched": _bool(matched),
-                "assignment": ",".join(str(p) for p in assignment),
-            }
-            report.rows.append(row)
+            report.rows.append({"m": m, "n": n, "matched": matched, "assignment": assignment})
             if matched and validated:
                 matched_runs += 1
             else:
                 report.violations.append(
                     f"run {m}+1..{m}+{n} admits no distinct prime assignment"
                 )
-        report.summary["runs"] = str(len(report.rows))
-        report.summary["matched_runs"] = str(matched_runs)
+        report.summary.update(runs=len(report.rows), matched_runs=matched_runs)
         return
     result = sequences.grimm_assign(args.m, args.n)
     if result is None:
-        report.summary["matched"] = "false"
+        report.summary["matched"] = False
         report.violations.append(
             f"run {args.m}+1..{args.m}+{args.n} admits no distinct prime assignment"
         )
         return
     validated = sequences.verify_assignment(result)
-    report.summary["matched"] = "true"
-    report.summary["assignment"] = ",".join(str(p) for p in result.assignment)
-    report.summary["validated"] = _bool(validated)
+    report.summary.update(matched=True, assignment=result.assignment, validated=validated)
     if not validated:
         report.violations.append("assignment failed independent re-validation")
 
@@ -309,8 +293,7 @@ def _cmd_nonw(args, report: Report) -> None:
     """longest witness-free run from m+1"""
     bound = args.max if args.max is not None else sequences.default_window_bound(args.m)
     result = sequences.non_w_max_run(args.m, bound)
-    report.summary["bound"] = str(bound)
-    report.summary["longest_run"] = str(result)
+    report.summary.update(bound=bound, longest_run=result)
 
 
 class Command(NamedTuple):
@@ -376,19 +359,15 @@ def _build_parser() -> _Parser:
 
 
 def _parameters(args, command: Command) -> dict[str, str]:
-    """The declared arguments as given: None is left out, a bool reads
-    true/false, a list is comma-joined; --out only appears when given."""
+    """The declared arguments as given, through _field: None is left out;
+    --out only appears when given."""
     params = {"format": args.format}
     if args.out:
         params["out"] = args.out
     for name in (token.strip("-?*+") for token in command.arguments.split()):
         value = getattr(args, name)
-        if isinstance(value, bool):
-            params[name] = _bool(value)
-        elif isinstance(value, list):
-            params[name] = ",".join(str(v) for v in value)
-        elif value is not None:
-            params[name] = str(value)
+        if value is not None:
+            params[name] = _field(value)
     return params
 
 

@@ -123,11 +123,15 @@ def sigma(n: int, *, step_budget: int | None = None) -> int:
 
 
 def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
-    """Whether 2**p - 1 is prime, for a prime exponent p."""
+    """Whether 2**p - 1 is prime, for a prime exponent p. step_budget bounds
+    both the trial division of p and the p - 2 squarings."""
     if _integer(p, "p") < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
         raise DomainError(f"lucas_lehmer needs a prime exponent, got {_shown(p)}")
     if p == 2:
         return True
+    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
+    if p - 2 > budget:
+        raise ResourceLimitError(f"lucas_lehmer({_shown(p)}): exceeded {budget} squarings")
     modulus = (1 << p) - 1
     s = 4
     for _ in range(p - 2):

@@ -107,7 +107,7 @@ def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectC
     divisor sum by the independent sigma computation."""
     if _integer(p, "p") < 2 or smallest_prime_factor(p) != p:
         raise DomainError(f"perfect_from_mersenne needs a prime exponent, got {_shown(p)}")
-    if not lucas_lehmer(p):
+    if not lucas_lehmer(p, step_budget=step_budget):
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne

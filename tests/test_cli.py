@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from euclidkit import cf_dynamics, cli
+from euclidkit import cf_dynamics, cli, primes_up_to
 
 GCD_REPORT_GOLDEN = """\
 command: gcd
@@ -655,6 +655,29 @@ ERROR_GOLDENS = [
         },
         id="reciprocity-scan-negative-limit",
     ),
+    pytest.param(
+        ["gcd", "240", "46", "--budget", "1"],
+        2,
+        {
+            "text": "gcd  a=240 b=46 budget=1 format=text method=remainder trace=false\n"
+            "VIOLATION: gcd --budget needs --method subtractive\n",
+            "report": "command: gcd\nparam a: 240\nparam b: 46\nparam budget: 1\n"
+            "param format: report\nparam method: remainder\nparam trace: false\n"
+            "violation: gcd --budget needs --method subtractive\n",
+        },
+        id="gcd-remainder-budget",
+    ),
+    pytest.param(
+        ["perfect", "44497", "--budget", "1000"],
+        3,
+        {
+            "text": "perfect  budget=1000 format=text p=44497\n"
+            "VIOLATION: lucas_lehmer(44497): exceeded 1000 squarings\n",
+            "report": "command: perfect\nparam budget: 1000\nparam format: report\nparam p: 44497\n"
+            "violation: lucas_lehmer(44497): exceeded 1000 squarings\n",
+        },
+        id="perfect-lucas-lehmer-budget",
+    ),
 ]
 
 
@@ -742,6 +765,22 @@ def test_nested_command_error_names_the_full_command(capsys):
     )
 
 
+# The first 1,300 odd primes, 3 .. 10663: 1 + their product has more digits
+# than Python converts to a string.
+ODD_PRIMES_PAST_THE_DIGIT_LIMIT = [str(p) for p in primes_up_to(10663)[1:]]
+
+
+def test_euclid_extend_past_the_digit_limit_golden(capsys):
+    primes = ODD_PRIMES_PAST_THE_DIGIT_LIMIT
+    assert len(primes) == 1300
+    assert run_main(capsys, "euclid-extend", *primes, "--format", "report") == (
+        0,
+        f"command: euclid-extend\nparam format: report\nparam primes: {','.join(primes)}\n"
+        "summary e: <15236-bit integer>\nsummary new_prime: 2\n",
+        "",
+    )
+
+
 def test_help_golden(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     assert run_main(capsys, "--help") == (0, HELP_GOLDEN, "")
@@ -822,6 +861,10 @@ FORMAT_IDENTITY_COMMANDS = [
     ["interval-equiv", "4"],
     ["grimm", "89", "7"],
     ["nonw", "2183", "--max", "20"],
+    ["grimm", "--scan", "100"],
+    ["perfect", "--scan", "10000"],
+    ["interval-equiv", "--scan", "30"],
+    ["dynamics", "21", "13", "--trace"],
 ]
 
 
@@ -843,6 +886,55 @@ def test_text_and_report_formats_carry_identical_values():
         assert t_rows == r_rows, argv
         assert t_summary == r_summary, argv
         assert t_violations == r_violations, argv
+
+
+# ---------------------------------------------------------------------------
+# no input escapes as an exception
+
+GRID_VALUES = (-3, 0, 1, 2, 5, 12, 97)  # small: dedekind h k is O(k) and has no budget
+
+
+def _grid_argv(command, value, with_options):
+    """command's argv with each integer argument set to value: every
+    positional; or, with options, the required positionals and every integer
+    option, --budget 1 where declared. --method subtractive and --trace are
+    set wherever declared."""
+    argv = command.name.split()
+    for token in command.arguments.split():
+        name = token.rstrip("?*+")
+        if name == "--method":
+            argv += [name, "subtractive"]
+        elif name == "--trace":
+            argv.append(name)
+        elif not name.startswith("--"):
+            if not with_options or token[-1] not in "?*":
+                argv.append(str(value))
+        elif with_options:
+            argv += [name, "1" if name == "--budget" else str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [
+        pytest.param(
+            [_grid_argv(command, v, opts) for v in GRID_VALUES for opts in (False, True)],
+            id=command.name,
+        )
+        for command in cli.COMMANDS
+    ]
+    + [
+        pytest.param(
+            [["euclid-extend", *ODD_PRIMES_PAST_THE_DIGIT_LIMIT]], id="euclid-extend-huge"
+        )
+    ],
+)
+def test_no_input_escapes_as_an_exception(argvs):
+    for argv in argvs:
+        code, report = cli.execute(argv)
+        assert code in (0, 1, 2, 3), argv
+        cli.render_text(report)
+        cli.render_report(report)
 
 
 # ---------------------------------------------------------------------------

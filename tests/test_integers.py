@@ -157,6 +157,12 @@ def test_lucas_lehmer_rejects_composite_exponent():
         lucas_lehmer(1)
 
 
+def test_lucas_lehmer_budget_bounds_the_squarings():
+    # 11211 squarings of 11213-bit numbers would take seconds; refused up front
+    with pytest.raises(ResourceLimitError, match=r"^lucas_lehmer\(11213\): exceeded 100 squarings$"):
+        lucas_lehmer(11213, step_budget=100)
+
+
 # ---------------------------------------------------------------------------
 # exact rationals
 
