@@ -240,21 +240,18 @@ def _cmd_interval_equiv(args, report: Report) -> None:
     if (args.m is None) == (args.scan is None):
         raise UsageError("interval-equiv needs m or --scan, not both")
     if args.scan is not None:
-        mismatches = 0
-        for m, prime_exists, is_w in sequences.interval_equivalence_scan(args.scan):
-            if prime_exists != is_w:
-                mismatches += 1
-                report.violations.append(
-                    f"m={m}: prime_exists={_field(prime_exists)} is_w={_field(is_w)}"
-                )
-        report.summary.update(checked=args.scan, mismatches=mismatches)
-        return
-    prime_exists, is_w = sequences.prime_interval_equivalence(args.m)
-    report.summary.update(prime_exists=prime_exists, is_w=is_w, equal=prime_exists == is_w)
-    if prime_exists != is_w:
-        report.violations.append(
-            f"m={args.m}: prime_exists={_field(prime_exists)} is_w={_field(is_w)}"
-        )
+        verdicts = sequences.interval_equivalence_scan(args.scan)
+    else:
+        prime_exists, is_w = sequences.prime_interval_equivalence(args.m)
+        report.summary.update(prime_exists=prime_exists, is_w=is_w, equal=prime_exists == is_w)
+        verdicts = [(args.m, prime_exists, is_w)]
+    for m, prime_exists, is_w in verdicts:
+        if prime_exists != is_w:
+            report.violations.append(
+                f"m={m}: prime_exists={_field(prime_exists)} is_w={_field(is_w)}"
+            )
+    if args.scan is not None:
+        report.summary.update(checked=args.scan, mismatches=len(report.violations))
 
 
 def _cmd_grimm(args, report: Report) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from euclidkit import cf_dynamics, cli, primes_up_to
+from euclidkit import cf_dynamics, cli, primes_up_to, sequences
 
 GCD_REPORT_GOLDEN = """\
 command: gcd
@@ -536,6 +536,24 @@ def test_dynamics_trace_flags_a_run_the_step_matrices_do_not_replay(capsys, monk
     code, out, _ = run_main(capsys, "dynamics", "21", "13", "--trace")
     assert code == 1
     assert out.endswith("VIOLATION: replay ends at (0, 1), not at (1, 0)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        pytest.param(["interval-equiv", "--scan", "2"], "checked = 2\nmismatches = 1\n", id="scan"),
+        pytest.param(
+            ["interval-equiv", "2"], "prime_exists = true\nis_w = false\nequal = false\n", id="m"
+        ),
+    ],
+)
+def test_interval_equiv_flags_a_mismatch(capsys, monkeypatch, argv, tail):
+    verdicts = [(1, True, True), (2, True, False)]
+    monkeypatch.setattr(sequences, "interval_equivalence_scan", lambda n: verdicts)
+    monkeypatch.setattr(sequences, "prime_interval_equivalence", lambda m: (True, False))
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 1
+    assert out.endswith(tail + "VIOLATION: m=2: prime_exists=true is_w=false\n")
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ def test_lucas_lehmer_rejects_composite_exponent():
 
 def test_lucas_lehmer_budget_bounds_the_squarings():
     # 11211 squarings of 11213-bit numbers would take seconds; refused up front
-    with pytest.raises(ResourceLimitError, match=r"^lucas_lehmer\(11213\): exceeded 100 squarings$"):
+    message = r"^lucas_lehmer\(11213\): exceeded 100 squarings$"
+    with pytest.raises(ResourceLimitError, match=message):
         lucas_lehmer(11213, step_budget=100)
 
 
