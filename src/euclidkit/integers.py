@@ -6,6 +6,7 @@ which already keeps values reduced with a positive denominator.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,17 @@ def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return [n for n in range(2, limit + 1) if flags[n]]
+
+
+def _factor_table(limit: int) -> array:
+    """table[n] = smallest prime factor of n for 2 <= n <= limit (so n is
+    prime exactly when table[n] == n). Base primes write themselves over
+    their multiples by slice assignment, largest first, so the smallest one
+    is the last to write. The caller bounds limit."""
+    table = array("I", range(limit + 1))
+    for p in reversed(primes_up_to(isqrt(limit))):
+        table[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+    return table
 
 
 def _window_has_prime(lo: int, hi: int, base_primes: list[int]) -> bool:
@@ -135,7 +147,12 @@ def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
     modulus = (1 << p) - 1
     s = 4
     for _ in range(p - 2):
-        s = (s * s - 2) % modulus
+        # 2**p = 1 mod modulus, so the high bits fold onto the low ones; the
+        # shift floors, which also maps s*s - 2 = -2, -1 to their residues
+        s = s * s - 2
+        s = (s & modulus) + (s >> p)
+        if s >= modulus:
+            s -= modulus
     return s == 0
 
 

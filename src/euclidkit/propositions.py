@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from .errors import (
     DomainError,
@@ -17,6 +18,8 @@ from .errors import (
 )
 from .euclid import gcd_subtractive
 from .integers import DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
+
+_SEGMENT = 2**18  # values per segment of the divisor-sum sieve
 
 
 class LemmaWitness(Enum):
@@ -143,27 +146,39 @@ def classify_perfect(n: int, *, step_budget: int | None = None) -> int | None:
     return p
 
 
-def _sigma_sieve(limit: int) -> list[int]:
-    """Every n <= limit whose divisor sum is 2n, via the divisor-pair sieve.
-
-    numpy is imported here rather than with the module, so that only the scan
-    pays for loading it.
-    """
+def _sigma_segments(limit: int):
+    """(n, sig) per segment of _SEGMENT values covering 1..limit, sig[i]
+    being the divisor sum of n[i]. Each divisor pair d <= c of d*c adds
+    d + c; in a segment the multiples d*c, c = c0, c0 + 1, ..., are one
+    strided view, which takes d + c0 plus a prefix of a shared ramp. numpy
+    is imported here rather than with the module, so that only the scan pays
+    for loading it."""
     import numpy as np
 
-    sig = np.zeros(limit + 1, dtype=np.int64)
-    d = 1
-    while d * d <= limit:
-        cofactors = np.arange(d, limit // d + 1, dtype=np.int64)
-        sig[d * d :: d] += d  # the small divisor of each pair
-        sig[d * d :: d] += cofactors  # its cofactor
-        sig[d * d] -= d  # square: d counted twice
-        d += 1
-    return np.flatnonzero(sig == 2 * np.arange(limit + 1, dtype=np.int64)).tolist()
+    ramp = np.arange(_SEGMENT, dtype=np.int64)
+    for lo in range(1, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)  # the segment is lo .. hi - 1
+        sig = np.zeros(hi - lo, dtype=np.int64)
+        for d in range(1, isqrt(hi - 1) + 1):
+            c0 = max(d, -(-lo // d))  # least cofactor in the segment
+            view = sig[d * c0 - lo :: d]
+            view += d + c0
+            view += ramp[: len(view)]
+            if c0 == d:
+                sig[d * d - lo] -= d  # square: d counted twice
+        yield ramp[: hi - lo] + lo, sig
+
+
+def _sigma_sieve(limit: int) -> list[int]:
+    """Every n <= limit whose divisor sum is 2n, one segment at a time."""
+    hits: list[int] = []
+    for n, sig in _sigma_segments(limit):
+        hits += n[sig == 2 * n].tolist()
+    return hits
 
 
 def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
-    """All (n, p) with n <= limit perfect, by a batched divisor-sum sieve.
+    """All (n, p) with n <= limit perfect, by a segmented divisor-sum sieve.
 
     Every sieve hit is re-validated with classify_perfect, which recomputes
     sigma by trial division, so the fast path cannot smuggle in a wrong hit.
@@ -175,8 +190,6 @@ def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[i
         raise ResourceLimitError(f"perfect_scan({_shown(limit)}): sieve limit is {budget}")
     out: list[tuple[int, int]] = []
     for n in _sigma_sieve(limit):
-        if n == 0:
-            continue
         p = classify_perfect(n)
         if p is None:
             raise RuntimeError(f"sieve and classifier disagree at n = {n}")

@@ -8,8 +8,15 @@ from itertools import chain, count, islice, repeat
 from math import ceil, gcd, log, prod
 from operator import lt
 
-from .errors import DomainError, _at_least, _integer, _shown
-from .integers import _window_has_prime, factorize, primes_up_to, smallest_prime_factor
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .integers import (
+    DEFAULT_SIEVE_LIMIT,
+    _factor_table,
+    _window_has_prime,
+    factorize,
+    primes_up_to,
+    smallest_prime_factor,
+)
 
 DEFAULT_WINDOW_CAP = 10**4
 _BLOCK = 32  # values per block product in w_witness
@@ -113,23 +120,10 @@ def interval_equivalence_scan(
     return [(m, *_interval_sides(m, base_primes)) for m in range(1, limit + 1)]
 
 
-def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssignment | None:
-    """Choose distinct primes p_i | m + i for the all-composite window
-    m+1 .. m+n, or None if no such choice exists.
-
-    Augmenting-path bipartite matching between window positions and the
-    primes dividing them; positions and primes are tried in ascending order,
-    so the result is deterministic.
-    """
-    _at_least(m, "m", 0, "grimm_assign")
-    _at_least(n, "n", 1, "grimm_assign")
-    divisors: list[list[int]] = []
-    for value in range(m + 1, m + n + 1):
-        factorization = factorize(value, step_budget=step_budget)
-        if sum(exponent for _, exponent in factorization.factors) < 2:
-            raise DomainError(f"window element {_shown(value)} is not composite")
-        divisors.append(factorization.primes())
-
+def _match(divisors: list[list[int]]) -> tuple[int, ...] | None:
+    """Distinct primes, one from each divisors[i], or None if there are none,
+    by augmenting-path bipartite matching; positions and primes are tried in
+    ascending order, so the result is deterministic."""
     owner: dict[int, int] = {}  # prime -> position currently using it
 
     def try_assign(pos: int, banned: set[int]) -> bool:
@@ -142,13 +136,29 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
                 return True
         return False
 
-    for pos in range(n):
+    for pos in range(len(divisors)):
         if not try_assign(pos, set()):
             return None
-    assignment: list[int] = [0] * n
+    assignment: list[int] = [0] * len(divisors)
     for p, pos in owner.items():
         assignment[pos] = p
-    return GrimmAssignment(m, n, tuple(assignment))
+    return tuple(assignment)
+
+
+def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssignment | None:
+    """Choose distinct primes p_i | m + i for the all-composite window
+    m+1 .. m+n, or None if no such choice exists, by matching the primes
+    that trial division finds in each element."""
+    _at_least(m, "m", 0, "grimm_assign")
+    _at_least(n, "n", 1, "grimm_assign")
+    divisors: list[list[int]] = []
+    for value in range(m + 1, m + n + 1):
+        factorization = factorize(value, step_budget=step_budget)
+        if sum(exponent for _, exponent in factorization.factors) < 2:
+            raise DomainError(f"window element {_shown(value)} is not composite")
+        divisors.append(factorization.primes())
+    assignment = _match(divisors)
+    return None if assignment is None else GrimmAssignment(m, n, assignment)
 
 
 def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
@@ -199,30 +209,50 @@ def _assignment_by_backtracking(divisor_sets: list[list[int]]) -> list[int] | No
     return chosen[:] if extend(0) else None
 
 
+def _prime_divisors(n: int, table) -> list[int]:
+    """Ascending distinct primes dividing n >= 1, read off a _factor_table."""
+    out = []
+    while n > 1:
+        p = table[n]
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
 def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     """Assign distinct primes on every maximal composite run starting <= limit.
 
-    Returns a list of (m, n, matched, assignment, validated). A run the
-    matching cannot satisfy is re-verified by exhaustive backtracking before
-    it is reported infeasible; disagreement between the two searches is a bug
-    and raises.
+    Returns a list of (m, n, matched, assignment, validated). One
+    smallest-prime-factor table, up to the first prime past limit, gives the
+    runs and every element's prime divisors. Each assignment is re-checked
+    by verify_assignment, which trial-divides. A run the matching cannot
+    satisfy is re-verified by exhaustive backtracking before it is reported
+    infeasible; disagreement between the two searches is a bug and raises.
+    A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
-    runs = composite_runs(limit, sieve_budget=sieve_budget)
-    last = runs[-1][0] + runs[-1][1] + 1  # the largest prime <= limit + 1
-    if last <= limit:  # its run reaches past limit: close it at the next prime
-        beyond = next(v for v in count(limit + 2) if smallest_prime_factor(v) == v)
-        runs.append((last, beyond - last - 1))
+    budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
+    if limit > budget:
+        raise ResourceLimitError(f"grimm_scan({_shown(limit)}): sieve limit is {budget}")
+    # the last run starting <= limit ends just before this prime
+    top = next(v for v in count(limit + 1) if smallest_prime_factor(v) == v)
+    table = _factor_table(top)
+    primes = [v for v in range(2, top + 1) if table[v] == v]
     results = []
-    for p, n in runs:
-        result = grimm_assign(p, n)
-        if result is None:
-            divisor_sets = [factorize(v).primes() for v in range(p + 1, p + n + 1)]
-            if _assignment_by_backtracking(divisor_sets) is not None:
+    for p, q in zip(primes, primes[1:]):
+        n = q - p - 1
+        if n == 0:
+            continue
+        divisors = [_prime_divisors(v, table) for v in range(p + 1, q)]
+        assignment = _match(divisors)
+        if assignment is None:
+            if _assignment_by_backtracking(divisors) is not None:
                 raise RuntimeError(f"matching and backtracking disagree at run {p}+1..{p + n}")
             results.append((p, n, False, (), False))
-            continue
-        results.append((p, n, True, result.assignment, verify_assignment(result)))
+        else:
+            validated = verify_assignment(GrimmAssignment(p, n, assignment))
+            results.append((p, n, True, assignment, validated))
     return results
 
 

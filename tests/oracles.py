@@ -3,10 +3,11 @@
 Nothing here shares code with the package: gcds come from divisor
 enumeration, subtractive traces from repeated subtraction,
 orbits of the subtractive map from single steps and their matrix products,
-primality from bare trial division, divisor sums from scanning every
-candidate divisor, Dedekind sums from literal term-by-term rational
-arithmetic, coprime witnesses from a gcd matrix or a plain pairwise scan,
-and window assignments from exhaustive backtracking.
+primality from bare trial division, Lucas-Lehmer residues from a plain
+remainder loop, divisor sums from scanning every candidate divisor,
+Dedekind sums from literal term-by-term rational arithmetic, coprime
+witnesses from a gcd matrix or a plain pairwise scan, and window
+assignments from exhaustive backtracking.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def is_prime_trial(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def lucas_lehmer_by_remainder(p: int) -> bool:
+    """Lucas-Lehmer for an odd prime p: s -> s*s - 2 taken mod 2**p - 1 by
+    Python's remainder, p - 2 times from s = 4; 2**p - 1 is prime iff 0."""
+    modulus = (1 << p) - 1
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % modulus
+    return s == 0
 
 
 def sigma_by_enumeration(n: int) -> int:

@@ -24,7 +24,13 @@ from euclidkit import (
     w_witness,
     yao_knuth_stat,
 )
-from oracles import is_prime_trial, sigma_by_enumeration
+from euclidkit.integers import _factor_table
+from oracles import (
+    is_prime_trial,
+    lucas_lehmer_by_remainder,
+    prime_divisors_by_trial,
+    sigma_by_enumeration,
+)
 
 # ---------------------------------------------------------------------------
 # smallest_prime_factor / primes_up_to
@@ -70,6 +76,14 @@ def test_spf_domain_and_budget():
 def test_primes_up_to_budget():
     with pytest.raises(ResourceLimitError):
         primes_up_to(10**6, sieve_budget=1000)
+
+
+def test_factor_table_matches_trial_division_to_20000():
+    table = _factor_table(20000)
+    assert len(table) == 20001
+    for n in range(2, 20001):
+        assert table[n] == prime_divisors_by_trial(n)[0], n
+        assert (table[n] == n) == is_prime_trial(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +162,15 @@ def test_lucas_lehmer_known_exponents():
 def test_lucas_lehmer_agrees_with_trial_division():
     for p in primes_up_to(19):
         assert lucas_lehmer(p) == is_prime_trial(2**p - 1)
+
+
+def test_lucas_lehmer_shift_add_matches_the_remainder_loop():
+    # every odd prime p < 1500: 14 Mersenne primes and 224 composite 2**p - 1
+    exponents = primes_up_to(1499)[1:]
+    verdicts = [lucas_lehmer(p) for p in exponents]
+    assert verdicts == [lucas_lehmer_by_remainder(p) for p in exponents]
+    mersenne = [p for p, prime in zip(exponents, verdicts) if prime]
+    assert mersenne == [3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279]
 
 
 def test_lucas_lehmer_rejects_composite_exponent():

@@ -1,5 +1,6 @@
 """Coprimality, the prime-divisor lemma, prime extension, and perfect numbers."""
 
+import tracemalloc
 from itertools import combinations
 from math import gcd as builtin_gcd
 
@@ -19,7 +20,9 @@ from euclidkit import (
     primes_up_to,
     sigma,
 )
-from oracles import is_prime_trial
+from euclidkit import propositions
+from oracles import is_prime_trial, sigma_by_enumeration
+from test_sequences import _names_reached
 
 # ---------------------------------------------------------------------------
 # coprimality by the subtraction chain
@@ -157,6 +160,42 @@ def test_perfect_scan_honours_its_sieve_budget():
         perfect_scan(10**4 + 1, sieve_budget=10**4)
     with pytest.raises(ResourceLimitError):
         perfect_scan(10**7 + 1)
+
+
+@pytest.mark.parametrize("segment", [7, 64])
+def test_small_segments_give_the_same_sums_and_hits(monkeypatch, segment):
+    # segment edges, squares that straddle an edge, and d*d past the segment start
+    monkeypatch.setattr(propositions, "_SEGMENT", segment)
+    starts, values, sums = [], [], []
+    for n, sig in propositions._sigma_segments(2000):
+        assert len(n) == len(sig) <= segment
+        starts.append(int(n[0]))
+        values += n.tolist()
+        sums += sig.tolist()
+    assert starts == list(range(1, 2001, segment))
+    assert values == list(range(1, 2001))
+    assert sums == [sigma_by_enumeration(n) for n in range(1, 2001)]
+    assert perfect_scan(10**4) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
+
+
+def test_perfect_scan_peak_memory_does_not_grow_with_the_limit():
+    # a few arrays of one segment (2**18 int64 values, 2 MiB each): about
+    # 10 MiB at any limit. A sieve over the whole range holds more than 16
+    # bytes per value, over 30 MiB at this limit.
+    perfect_scan(10)  # numpy's own import is not the scan's memory
+    tracemalloc.start()
+    try:
+        assert perfect_scan(2 * 10**6) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_classify_perfect_does_not_reach_the_sieve():
+    read, names = _names_reached(classify_perfect)
+    assert {"sigma", "factorize", "smallest_prime_factor"} <= read
+    assert not {"_sigma_sieve", "_sigma_segments", "numpy", "np"} & (read | names)
 
 
 def test_classify_agrees_with_scan_below_10000():

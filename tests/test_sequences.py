@@ -1,6 +1,7 @@
 """Coprime witnesses, the prime-between-squares equivalence, and composite runs."""
 
 import ast
+import hashlib
 import inspect
 import random
 import textwrap
@@ -26,7 +27,7 @@ from euclidkit import (
     w_witness,
 )
 from euclidkit.integers import _window_has_prime
-from euclidkit.sequences import _interval_sides
+from euclidkit.sequences import _interval_sides, _match
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -346,6 +347,33 @@ def test_grimm_scan_keeps_the_run_that_starts_at_limit():
     for limit in range(4, 201):
         runs = [(m, n) for m, n, *_ in grimm_scan(limit)]
         assert runs == [(s, n) for s, n in composite_runs(2 * limit) if s <= limit], limit
+
+
+def test_grimm_scan_rows_match_trial_division_to_3000():
+    rows = grimm_scan(3000)
+    rebuilt = []
+    for start, length in composite_runs(3100):
+        if start > 3000:
+            break
+        divisors = [prime_divisors_by_trial(v) for v in range(start + 1, start + length + 1)]
+        assignment = _match(divisors)
+        rebuilt.append((start, length, True, assignment, True))
+    assert rows == rebuilt
+    # the rows as the trial-division scan (one factorize per element) gave them
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "e3611c48610dcba598b58b802aabd11200d333ec7435a60b603b6b0221b18bdc"
+
+
+def test_grimm_scan_honours_its_sieve_budget():
+    assert len(grimm_scan(100, sieve_budget=100)) == 24
+    with pytest.raises(ResourceLimitError, match=r"^grimm_scan\(101\): sieve limit is 100$"):
+        grimm_scan(101, sieve_budget=100)
+
+
+def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
+    read, names = _names_reached(verify_assignment)
+    assert "smallest_prime_factor" in read
+    assert not {"_factor_table", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
 
 
 # ---------------------------------------------------------------------------
