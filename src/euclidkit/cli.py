@@ -262,16 +262,16 @@ def _cmd_grimm(args, report: Report) -> None:
     if single == (args.scan is not None):
         raise UsageError("grimm needs either m n or --scan")
     if args.scan is not None:
-        matched_runs = 0
         for m, n, matched, assignment, validated in sequences.grimm_scan(args.scan):
             report.rows.append({"m": m, "n": n, "matched": matched, "assignment": assignment})
-            if matched and validated:
-                matched_runs += 1
-            else:
+            if not matched:
+                report.violations.append(f"run {m}+1..{m}+{n} admits no distinct prime assignment")
+            elif not validated:
                 report.violations.append(
-                    f"run {m}+1..{m}+{n} admits no distinct prime assignment"
+                    f"run {m}+1..{m}+{n}: assignment failed independent re-validation"
                 )
-        report.summary.update(runs=len(report.rows), matched_runs=matched_runs)
+        runs = len(report.rows)  # each violation names one run
+        report.summary.update(runs=runs, matched_runs=runs - len(report.violations))
         return
     result = sequences.grimm_assign(args.m, args.n)
     if result is None:
@@ -382,7 +382,7 @@ def execute(argv) -> tuple[int, Report | None]:
         command.handler(args, report)
     except HypothesisFailedError as exc:  # a checked property failed: report it
         report.violations.append(str(exc))
-    except (UsageError, DomainError, CertificateMismatchError, ZeroDivisionError) as exc:
+    except (UsageError, DomainError, CertificateMismatchError) as exc:
         return 2, replace(report, rows=[], summary={}, violations=[str(exc)])
     except ResourceLimitError as exc:
         return 3, replace(report, rows=[], summary={}, violations=[str(exc)])

@@ -280,6 +280,9 @@ def division_from_bezout(
         raise CertificateMismatchError(
             f"certificate is for pair ({_shown(cert.a)}, {_shown(cert.b)}), not {pair()}"
         )
+    _integer(cert.g, "cert.g")
+    _integer(cert.x, "cert.x")
+    _integer(cert.y, "cert.y")
     if not cert.holds():
         raise CertificateMismatchError(
             f"certificate identity fails: {_shown(a)}*{_shown(cert.x)}"

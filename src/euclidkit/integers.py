@@ -10,6 +10,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
@@ -39,19 +40,17 @@ def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
 
 
 def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
-    """All primes <= limit, ascending, by sieve of Eratosthenes."""
+    """All primes <= limit, ascending, by sieve of Eratosthenes: those up to
+    isqrt(limit) by recursion, then the window above them sieved by them."""
     _at_least(limit, "limit", 0, "primes_up_to")
     budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
     if limit > budget:
         raise ResourceLimitError(f"primes_up_to({_shown(limit)}): sieve limit is {budget}")
     if limit < 2:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [n for n in range(2, limit + 1) if flags[n]]
+    lo = isqrt(limit) + 1
+    base = primes_up_to(lo - 1, sieve_budget=budget)
+    return base + list(compress(range(lo, limit + 1), _window_flags(lo, limit, base)))
 
 
 def _factor_table(limit: int) -> array:
@@ -65,18 +64,18 @@ def _factor_table(limit: int) -> array:
     return table
 
 
-def _window_has_prime(lo: int, hi: int, base_primes: list[int]) -> bool:
-    """Whether the window lo..hi holds a prime, for isqrt(hi) < lo <= hi and
-    base_primes listing every prime up to isqrt(hi) in ascending order (any
-    beyond are ignored). Each base prime's multiples are cleared from a
-    bytearray of the window by one slice assignment."""
+def _window_flags(lo: int, hi: int, base_primes: list[int]) -> bytearray:
+    """flags[i] = 1 exactly when lo + i is prime, for the window lo..hi with
+    isqrt(hi) < lo <= hi and base_primes listing every prime up to isqrt(hi)
+    in ascending order (any beyond are ignored). Each base prime's multiples
+    are cleared by one slice assignment."""
     size = hi - lo + 1
     flags = bytearray(b"\x01") * size
     zeros = bytearray(size)
     for p in base_primes[: bisect_right(base_primes, isqrt(hi))]:
         first = -lo % p  # offset of the window's first multiple of p
         flags[first::p] = zeros[first::p]
-    return 1 in flags
+    return flags
 
 
 @dataclass(frozen=True)

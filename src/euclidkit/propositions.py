@@ -169,14 +169,6 @@ def _sigma_segments(limit: int):
         yield ramp[: hi - lo] + lo, sig
 
 
-def _sigma_sieve(limit: int) -> list[int]:
-    """Every n <= limit whose divisor sum is 2n, one segment at a time."""
-    hits: list[int] = []
-    for n, sig in _sigma_segments(limit):
-        hits += n[sig == 2 * n].tolist()
-    return hits
-
-
 def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
     """All (n, p) with n <= limit perfect, by a segmented divisor-sum sieve.
 
@@ -189,9 +181,10 @@ def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[i
     if limit > budget:
         raise ResourceLimitError(f"perfect_scan({_shown(limit)}): sieve limit is {budget}")
     out: list[tuple[int, int]] = []
-    for n in _sigma_sieve(limit):
-        p = classify_perfect(n)
-        if p is None:
-            raise RuntimeError(f"sieve and classifier disagree at n = {n}")
-        out.append((n, p))
+    for values, sig in _sigma_segments(limit):
+        for n in values[sig == 2 * values].tolist():
+            p = classify_perfect(n)
+            if p is None:
+                raise RuntimeError(f"sieve and classifier disagree at n = {n}")
+            out.append((n, p))
     return out

@@ -12,7 +12,7 @@ from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .integers import (
     DEFAULT_SIEVE_LIMIT,
     _factor_table,
-    _window_has_prime,
+    _window_flags,
     factorize,
     primes_up_to,
     smallest_prime_factor,
@@ -93,7 +93,7 @@ def w_witness(seq) -> WReport:
 def _interval_sides(m: int, base_primes: list[int]) -> tuple[bool, bool]:
     """Both sides for the window m^2+1..m^2+2m, from base primes up to m."""
     lo, hi = m * m + 1, m * m + 2 * m
-    prime_exists = _window_has_prime(lo, hi, base_primes)
+    prime_exists = 1 in _window_flags(lo, hi, base_primes)
     is_w = w_witness(range(lo, hi + 1)).witness_index is not None
     return prime_exists, is_w
 
@@ -148,7 +148,7 @@ def _match(divisors: list[list[int]]) -> tuple[int, ...] | None:
 def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssignment | None:
     """Choose distinct primes p_i | m + i for the all-composite window
     m+1 .. m+n, or None if no such choice exists, by matching the primes
-    that trial division finds in each element."""
+    that trial division finds in each element (see _confirmed_match)."""
     _at_least(m, "m", 0, "grimm_assign")
     _at_least(n, "n", 1, "grimm_assign")
     divisors: list[list[int]] = []
@@ -157,7 +157,7 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
         if sum(exponent for _, exponent in factorization.factors) < 2:
             raise DomainError(f"window element {_shown(value)} is not composite")
         divisors.append(factorization.primes())
-    assignment = _match(divisors)
+    assignment = _confirmed_match(divisors, m)
     return None if assignment is None else GrimmAssignment(m, n, assignment)
 
 
@@ -209,6 +209,17 @@ def _assignment_by_backtracking(divisor_sets: list[list[int]]) -> list[int] | No
     return chosen[:] if extend(0) else None
 
 
+def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | None:
+    """_match on the window m+1 .. m+len(divisors). Its None (infeasible)
+    stands only once exhaustive backtracking confirms it; disagreement
+    between the two searches is a bug and raises."""
+    assignment = _match(divisors)
+    if assignment is None and _assignment_by_backtracking(divisors) is not None:
+        end = _shown(m + len(divisors))
+        raise RuntimeError(f"matching and backtracking disagree at run {_shown(m)}+1..{end}")
+    return assignment
+
+
 def _prime_divisors(n: int, table) -> list[int]:
     """Ascending distinct primes dividing n >= 1, read off a _factor_table."""
     out = []
@@ -226,9 +237,8 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     Returns a list of (m, n, matched, assignment, validated). One
     smallest-prime-factor table, up to the first prime past limit, gives the
     runs and every element's prime divisors. Each assignment is re-checked
-    by verify_assignment, which trial-divides. A run the matching cannot
-    satisfy is re-verified by exhaustive backtracking before it is reported
-    infeasible; disagreement between the two searches is a bug and raises.
+    by verify_assignment, which trial-divides; an infeasible run is
+    confirmed as in grimm_assign.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
@@ -245,10 +255,8 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
         if n == 0:
             continue
         divisors = [_prime_divisors(v, table) for v in range(p + 1, q)]
-        assignment = _match(divisors)
+        assignment = _confirmed_match(divisors, p)
         if assignment is None:
-            if _assignment_by_backtracking(divisors) is not None:
-                raise RuntimeError(f"matching and backtracking disagree at run {p}+1..{p + n}")
             results.append((p, n, False, (), False))
         else:
             validated = verify_assignment(GrimmAssignment(p, n, assignment))
@@ -262,14 +270,15 @@ def default_window_bound(m: int) -> int:
     return max(1, ceil(4 * log(m + 2) ** 2))
 
 
-def non_w_max_run(m: int, n_max: int, *, window_cap: int | None = None) -> int:
+def non_w_max_run(m: int, n_max: int) -> int:
     """Largest n <= n_max such that m+1 .. m+n has no coprime witness (0 if
     every length has one). Checks every n: witness-freeness is not monotone."""
     _at_least(m, "m", 0, "non_w_max_run")
     _at_least(n_max, "n_max", 1, "non_w_max_run")
-    cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
-    if n_max > cap:
-        raise DomainError(f"non_w_max_run window cap is {cap}, got n_max = {_shown(n_max)}")
+    if n_max > DEFAULT_WINDOW_CAP:
+        raise ResourceLimitError(
+            f"non_w_max_run window cap is {DEFAULT_WINDOW_CAP}, got n_max = {_shown(n_max)}"
+        )
     best = 0
     for n in range(1, n_max + 1):
         if w_witness(range(m + 1, m + n + 1)).witness_index is None:

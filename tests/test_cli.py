@@ -556,6 +556,20 @@ def test_interval_equiv_flags_a_mismatch(capsys, monkeypatch, argv, tail):
     assert out.endswith(tail + "VIOLATION: m=2: prime_exists=true is_w=false\n")
 
 
+@pytest.mark.parametrize(
+    "fmt, line",
+    [("text", "VIOLATION: {}\n"), ("report", "violation: {}\n")],
+)
+def test_grimm_scan_flags_a_run_that_fails_re_validation(capsys, monkeypatch, fmt, line):
+    monkeypatch.setattr(sequences, "verify_assignment", lambda result: False)
+    code, out, _ = run_main(capsys, "grimm", "--scan", "100", "--format", fmt)
+    assert code == 1
+    assert line.format("run 3+1..3+1: assignment failed independent re-validation") in out
+    assert line.format("run 89+1..89+7: assignment failed independent re-validation") in out
+    assert out.count("failed independent re-validation") == 24  # every run
+    assert "admits no distinct prime assignment" not in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -695,6 +709,17 @@ ERROR_GOLDENS = [
             "violation: lucas_lehmer(44497): exceeded 1000 squarings\n",
         },
         id="perfect-lucas-lehmer-budget",
+    ),
+    pytest.param(
+        ["nonw", "0", "--max", "10001"],
+        3,
+        {
+            "text": "nonw  format=text m=0 max=10001\n"
+            "VIOLATION: non_w_max_run window cap is 10000, got n_max = 10001\n",
+            "report": "command: nonw\nparam format: report\nparam m: 0\nparam max: 10001\n"
+            "violation: non_w_max_run window cap is 10000, got n_max = 10001\n",
+        },
+        id="nonw-window-cap",
     ),
 ]
 

@@ -420,6 +420,22 @@ def test_division_from_bezout_rejects_bad_certificates():
         division_from_bezout(4, 2, BezoutCertificate(4, 2, 4, 1, 0))  # g is not the gcd
 
 
+@pytest.mark.parametrize(
+    "a, b, cert, message",
+    [
+        (4, 2, BezoutCertificate(4, 2, 2, 0.5, 0), "cert.x must be an integer, got float"),
+        (7, 3, BezoutCertificate(7, 3, 1.0, 1, -2), "cert.g must be an integer, got float"),
+        (7, 3, BezoutCertificate(7, 3, 1, True, -2), "cert.x must be an integer, got bool"),
+    ],
+)
+def test_division_from_bezout_rejects_non_integer_certificate_fields(a, b, cert, message):
+    # each identity holds numerically, so only the type check stops a wrong
+    # quotient such as (1.5, 1.0) for x = 0.5
+    with pytest.raises(DomainError) as exc:
+        division_from_bezout(a, b, cert)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Bezout validity
 

@@ -1,5 +1,7 @@
 """Primes, factorization, sigma, and Lucas-Lehmer against brute-force oracles."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
@@ -24,7 +26,7 @@ from euclidkit import (
     w_witness,
     yao_knuth_stat,
 )
-from euclidkit.integers import _factor_table
+from euclidkit.integers import _factor_table, _window_flags
 from oracles import (
     is_prime_trial,
     lucas_lehmer_by_remainder,
@@ -62,6 +64,24 @@ def test_primes_up_to_frozen_values():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_up_to_matches_trial_division_at_every_limit_to_2000():
+    # every square and square +- 1 seam between the base primes and the window
+    primes = [n for n in range(2001) if is_prime_trial(n)]
+    for limit in range(2001):
+        assert primes_up_to(limit) == primes[: bisect_right(primes, limit)], limit
+
+
+def test_window_flags_match_trial_division_on_random_windows():
+    # windows of up to 300 values with isqrt(hi) < lo, hi spread over 2 .. 10**6
+    rng = random.Random(9)
+    base = primes_up_to(1000)
+    for _ in range(300):
+        hi = rng.randint(2, 10 ** rng.randint(1, 6))
+        lo = rng.randint(max(isqrt(hi) + 1, hi - 299), hi)
+        expected = [is_prime_trial(n) for n in range(lo, hi + 1)]
+        assert list(_window_flags(lo, hi, base)) == expected, (lo, hi)
 
 
 def test_spf_domain_and_budget():

@@ -26,8 +26,9 @@ from euclidkit import (
     verify_assignment,
     w_witness,
 )
-from euclidkit.integers import _window_has_prime
-from euclidkit.sequences import _interval_sides, _match
+from euclidkit import sequences
+from euclidkit.integers import _window_flags
+from euclidkit.sequences import DEFAULT_WINDOW_CAP, _interval_sides, _match
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -186,7 +187,7 @@ def _names_reached(*roots):
     return read, names
 
 
-_PRIMALITY = {"primes_up_to", "factorize", "smallest_prime_factor", "_window_has_prime"}
+_PRIMALITY = {"primes_up_to", "factorize", "smallest_prime_factor", "_window_flags"}
 
 
 def test_witness_side_tests_no_primality():
@@ -204,15 +205,15 @@ def test_witness_side_tests_no_primality():
 
 
 def test_prime_side_takes_no_gcd():
-    read, names = _names_reached(_window_has_prime, primes_up_to)
-    assert read == {"_window_has_prime", "primes_up_to", "_at_least", "_integer", "_shown"}
+    read, names = _names_reached(_window_flags, primes_up_to)
+    assert read == {"_window_flags", "primes_up_to", "_at_least", "_integer", "_shown"}
     assert "gcd" not in names
 
 
 def test_interval_sides_reach_both_scans():
     read, names = _names_reached(_interval_sides)
-    assert {"w_witness", "_window_has_prime"} <= read
-    assert {"gcd", "_window_has_prime"} <= names
+    assert {"w_witness", "_window_flags"} <= read
+    assert {"gcd", "_window_flags"} <= names
 
 
 @pytest.mark.parametrize(
@@ -370,6 +371,19 @@ def test_grimm_scan_honours_its_sieve_budget():
         grimm_scan(101, sieve_budget=100)
 
 
+@pytest.mark.parametrize(
+    "call, run",
+    [(lambda: grimm_assign(89, 7), "89+1..96"), (lambda: grimm_scan(100), "3+1..4")],
+    ids=["grimm_assign", "grimm_scan"],
+)
+def test_an_infeasible_window_is_confirmed_by_backtracking(monkeypatch, call, run):
+    # every window here has an assignment, so backtracking contradicts the matching
+    monkeypatch.setattr(sequences, "_match", lambda divisors: None)
+    with pytest.raises(RuntimeError) as exc:
+        call()
+    assert str(exc.value) == f"matching and backtracking disagree at run {run}"
+
+
 def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     read, names = _names_reached(verify_assignment)
     assert "smallest_prime_factor" in read
@@ -422,7 +436,9 @@ def test_non_w_max_run_domain_and_cap():
         non_w_max_run(-1, 5)
     with pytest.raises(DomainError):
         non_w_max_run(10, 0)
-    with pytest.raises(DomainError):
-        non_w_max_run(10, 50, window_cap=20)
-    with pytest.raises(DomainError, match="got n_max = <16610-bit integer>"):
+    with pytest.raises(
+        ResourceLimitError, match=r"^non_w_max_run window cap is 10000, got n_max = 10001$"
+    ):
+        non_w_max_run(10, DEFAULT_WINDOW_CAP + 1)
+    with pytest.raises(ResourceLimitError, match="got n_max = <16610-bit integer>"):
         non_w_max_run(10, 10**5000)
