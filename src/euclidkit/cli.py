@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
+from numbers import Rational
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import cf_dynamics, dedekind, euclid, propositions, sequences
-from .cf_dynamics import BOTTOM_MINUS_TOP, TOP_MINUS_BOTTOM
 from .errors import (
     CertificateMismatchError,
     DomainError,
@@ -26,8 +24,11 @@ from .errors import (
     ResourceLimitError,
     _at_least,
     _shown,
+    rational_str,
 )
-from .integers import rational_str
+
+if TYPE_CHECKING:
+    from .euclid import EuclidTrace
 
 
 @dataclass
@@ -52,7 +53,7 @@ def _field(value) -> str:
         return ",".join(map(_field, value))
     if isinstance(value, float):
         return format(value, ".15g")
-    if isinstance(value, Fraction):
+    if isinstance(value, Rational):  # ints were shown above
         return rational_str(value)
     return str(value)
 
@@ -94,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, int]]:
+def _trace_rows(trace: EuclidTrace) -> list[dict[str, int]]:
     rows = []
     for index, step in enumerate(trace.steps, start=1):
         row = {"step": index, "larger": step.larger, "smaller": step.smaller}
@@ -107,6 +108,7 @@ def _trace_rows(trace: euclid.EuclidTrace) -> list[dict[str, int]]:
 
 def _cmd_gcd(args, report: Report) -> None:
     """gcd with a replayable trace"""
+    from . import euclid
     if args.method == "subtractive":
         g, trace = euclid.gcd_subtractive(args.a, args.b, step_budget=args.budget)
     elif args.budget is not None:
@@ -120,12 +122,14 @@ def _cmd_gcd(args, report: Report) -> None:
 
 def _cmd_xgcd(args, report: Report) -> None:
     """Bezout certificate by back-substitution"""
+    from . import euclid
     cert = euclid.xgcd(args.a, args.b)
     report.summary.update(g=cert.g, x=cert.x, y=cert.y)
 
 
 def _cmd_div_from_bezout(args, report: Report) -> None:
     """quotient and remainder rebuilt from a certificate"""
+    from . import euclid
     given = [args.x, args.y, args.g]
     if any(v is not None for v in given) and any(v is None for v in given):
         raise UsageError("div-from-bezout needs all of --x, --y, --g or none")
@@ -143,12 +147,15 @@ def _cmd_div_from_bezout(args, report: Report) -> None:
 
 def _cmd_lowest_terms(args, report: Report) -> None:
     """reduce a pair by its gcd"""
+    from . import euclid
     num, den = euclid.lowest_terms(args.a, args.b)
     report.summary.update(reduced_a=num, reduced_b=den)
 
 
 def _cmd_cf(args, report: Report) -> None:
     """continued fraction of a/b and its round trip"""
+    from fractions import Fraction
+    from . import cf_dynamics
     cf = cf_dynamics.cf_expand(args.a, args.b)
     value = Fraction(*cf_dynamics.cf_value(cf))
     report.summary.update(quotients=cf.quotients, length=len(cf.quotients), value=value)
@@ -156,6 +163,7 @@ def _cmd_cf(args, report: Report) -> None:
 
 def _cmd_yao_knuth(args, report: Report) -> None:
     """sum of all partial quotients up to a"""
+    from . import cf_dynamics
     stat = cf_dynamics.yao_knuth_stat(args.a, scan_budget=args.budget)
     mean_len = cf_dynamics.average_cf_length(args.a, scan_budget=args.budget)
     report.summary.update(
@@ -165,12 +173,13 @@ def _cmd_yao_knuth(args, report: Report) -> None:
 
 def _cmd_dynamics(args, report: Report) -> None:
     """subtractive map orbit and step matrices"""
+    from . import cf_dynamics
     run = cf_dynamics.dynamical_run(args.x, args.y, step_budget=args.budget)
     if args.trace:
         # The step matrices replay the orbit apart from dynamical_run's own update.
         x, y = run.start
         for step in range(1, run.step_count + 1):
-            step_matrix = TOP_MINUS_BOTTOM if x >= y else BOTTOM_MINUS_TOP
+            step_matrix = cf_dynamics.TOP_MINUS_BOTTOM if x >= y else cf_dynamics.BOTTOM_MINUS_TOP
             x, y = step_matrix.apply(x, y)
             report.rows.append({"step": step, "x": x, "y": y})
         if (x, y) != run.terminal:
@@ -188,11 +197,13 @@ def _cmd_dynamics(args, report: Report) -> None:
 
 def _cmd_dedekind(args, report: Report) -> None:
     """exact Dedekind sum s(h, k)"""
+    from . import dedekind
     report.summary["value"] = dedekind.dedekind_sum(args.h, args.k)
 
 
 def _cmd_reciprocity_scan(args, report: Report) -> None:
     """verify reciprocity on all coprime pairs up to --limit"""
+    from . import dedekind
     if args.limit is None:
         raise UsageError("reciprocity-scan needs --limit")
     _at_least(args.limit, "limit", 0, "reciprocity-scan")
@@ -210,6 +221,7 @@ def _cmd_reciprocity_scan(args, report: Report) -> None:
 
 def _cmd_perfect(args, report: Report) -> None:
     """perfect-number certificate or scan"""
+    from . import propositions
     if (args.p is None) == (args.scan is None):
         raise UsageError("perfect needs an exponent or --scan, not both")
     if args.scan is not None:
@@ -223,12 +235,14 @@ def _cmd_perfect(args, report: Report) -> None:
 
 def _cmd_euclid_extend(args, report: Report) -> None:
     """a prime outside any finite list"""
+    from . import propositions
     extension = propositions.euclid_prime_extension(args.primes, step_budget=args.budget)
     report.summary.update(e=extension.e_value, new_prime=extension.new_prime)
 
 
 def _cmd_wseq(args, report: Report) -> None:
     """least coprime witness of a sequence"""
+    from . import sequences
     result = sequences.w_witness(args.values)
     is_w = result.witness_index is not None
     index, value = (result.witness_index, result.witness_value) if is_w else ("none", "none")
@@ -237,6 +251,7 @@ def _cmd_wseq(args, report: Report) -> None:
 
 def _cmd_interval_equiv(args, report: Report) -> None:
     """prime between squares vs coprime witness window"""
+    from . import sequences
     if (args.m is None) == (args.scan is None):
         raise UsageError("interval-equiv needs m or --scan, not both")
     if args.scan is not None:
@@ -256,6 +271,7 @@ def _cmd_interval_equiv(args, report: Report) -> None:
 
 def _cmd_grimm(args, report: Report) -> None:
     """distinct prime divisors for composite runs"""
+    from . import sequences
     single = args.m is not None or args.n is not None
     if single and (args.m is None or args.n is None):
         raise UsageError("grimm needs both m and n for a single window")
@@ -288,6 +304,7 @@ def _cmd_grimm(args, report: Report) -> None:
 
 def _cmd_nonw(args, report: Report) -> None:
     """longest witness-free run from m+1"""
+    from . import sequences
     bound = args.max if args.max is not None else sequences.default_window_bound(args.m)
     result = sequences.non_w_max_run(args.m, bound)
     report.summary.update(bound=bound, longest_run=result)
@@ -309,7 +326,8 @@ _OPTIONS = {
     "--trace": {"action": "store_true"},
 }
 
-# In --help order. Handlers look primitives up through their module at call
+# In --help order. Each handler imports the one module it runs on entry, so a
+# command loads only its own layer, and looks primitives up through it at call
 # time (euclid.xgcd), so that wrapping a module attribute reaches every call.
 COMMANDS = (
     Command("gcd", "a b --method --trace --budget", _cmd_gcd),

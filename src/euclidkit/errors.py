@@ -1,5 +1,6 @@
 """Exception types shared across the package, the integer and range checks
-every layer validates its arguments with, and how its messages show values."""
+every layer validates its arguments with, and how messages and reports show
+values."""
 
 
 class DomainError(ValueError):
@@ -38,3 +39,9 @@ def _shown(value) -> str:
         return str(value)
     except ValueError:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
+def rational_str(value) -> str:
+    """A rational (a fractions.Fraction, which keeps itself reduced with a
+    positive denominator) as "num/den", the denominator always explicit."""
+    return f"{value.numerator}/{value.denominator}"

@@ -1,7 +1,6 @@
 """Exact natural-number arithmetic: primes, factorization, divisor sums.
 
-Everything runs on Python's unbounded ints. Rationals are fractions.Fraction,
-which already keeps values reduced with a positive denominator.
+Everything runs on Python's unbounded ints.
 """
 
 from __future__ import annotations
@@ -9,7 +8,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
@@ -153,8 +151,3 @@ def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
         if s >= modulus:
             s -= modulus
     return s == 0
-
-
-def rational_str(value: Fraction) -> str:
-    """Render a rational as "num/den" with the denominator always explicit."""
-    return f"{value.numerator}/{value.denominator}"

@@ -17,7 +17,9 @@ from .errors import (
     _shown,
 )
 from .euclid import gcd_subtractive
-from .integers import DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
+from .integers import (
+    DEFAULT_FACTOR_BUDGET, DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
+)
 
 _SEGMENT = 2**18  # values per segment of the divisor-sum sieve
 
@@ -107,13 +109,18 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
 
 def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectCertificate:
     """Build the even perfect number for Mersenne exponent p and verify its
-    divisor sum by the independent sigma computation."""
+    divisor sum by the independent sigma computation. On the proven prime
+    2**p - 1, sigma's trial division takes (isqrt(2**p - 1) - 1) // 2 steps;
+    when that exceeds step_budget, sigma's budget error is raised at once."""
     if _integer(p, "p") < 2 or smallest_prime_factor(p) != p:
         raise DomainError(f"perfect_from_mersenne needs a prime exponent, got {_shown(p)}")
     if not lucas_lehmer(p, step_budget=step_budget):
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne
+    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
+    if (isqrt(mersenne) - 1) // 2 > max(budget, 0):  # factorize checks after a step
+        raise ResourceLimitError(f"factorize({_shown(value)}): exceeded {budget} trial divisions")
     sigma_value = sigma(value, step_budget=step_budget)
     if sigma_value != 2 * value:
         raise HypothesisFailedError(

@@ -711,6 +711,19 @@ ERROR_GOLDENS = [
         id="perfect-lucas-lehmer-budget",
     ),
     pytest.param(
+        ["perfect", "61"],
+        3,
+        {
+            "text": "perfect  format=text p=61\n"
+            "VIOLATION: factorize(2658455991569831744654692615953842176):"
+            " exceeded 10000000 trial divisions\n",
+            "report": "command: perfect\nparam format: report\nparam p: 61\n"
+            "violation: factorize(2658455991569831744654692615953842176):"
+            " exceeded 10000000 trial divisions\n",
+        },
+        id="perfect-sigma-budget",
+    ),
+    pytest.param(
         ["nonw", "0", "--max", "10001"],
         3,
         {

@@ -1,0 +1,149 @@
+"""The package namespace: its public names, and which modules a command loads."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import euclidkit
+
+# Every public name the package binds. Before the namespace became one table,
+# __all__ listed all of these but yao_knuth_stat, which only star imports missed.
+PUBLIC_NAMES = [
+    "BezoutCertificate",
+    "CertificateMismatchError",
+    "ContinuedFraction",
+    "DomainError",
+    "DynamicsRun",
+    "EuclidExtension",
+    "EuclidStep",
+    "EuclidTrace",
+    "Factorization",
+    "GrimmAssignment",
+    "HypothesisFailedError",
+    "LemmaWitness",
+    "PerfectCertificate",
+    "QuotientSumStat",
+    "ResourceLimitError",
+    "UnimodularMatrix",
+    "WReport",
+    "average_cf_length",
+    "cf_expand",
+    "cf_value",
+    "classify_perfect",
+    "composite_runs",
+    "coprime_by_prop1",
+    "dedekind_sum",
+    "default_window_bound",
+    "division_from_bezout",
+    "dynamical_run",
+    "euclid_lemma_witness",
+    "euclid_prime_extension",
+    "factorize",
+    "gcd_many",
+    "gcd_remainder",
+    "gcd_subtractive",
+    "grimm_assign",
+    "grimm_scan",
+    "interval_equivalence_scan",
+    "lcm",
+    "lowest_terms",
+    "lucas_lehmer",
+    "non_w_max_run",
+    "perfect_from_mersenne",
+    "perfect_scan",
+    "prime_interval_equivalence",
+    "primes_up_to",
+    "rational_str",
+    "reciprocity_residual",
+    "sawtooth",
+    "sigma",
+    "smallest_prime_factor",
+    "verify_assignment",
+    "w_witness",
+    "xgcd",
+    "yao_knuth_stat",
+]
+
+MODULES = ["cf_dynamics", "dedekind", "errors", "euclid", "integers", "propositions", "sequences"]
+
+
+def test_all_lists_the_public_names():
+    assert euclidkit.__all__ == PUBLIC_NAMES
+
+
+def test_each_name_is_its_defining_modules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(euclidkit, name)
+        defining = importlib.import_module(value.__module__)
+        assert defining.__name__ in {f"euclidkit.{module}" for module in MODULES}, name
+        assert value is getattr(defining, name), name
+
+
+def test_module_names_resolve_to_the_submodules():
+    for module in MODULES:
+        assert getattr(euclidkit, module) is importlib.import_module(f"euclidkit.{module}")
+
+
+def test_star_import_binds_every_name_and_dir_lists_them():
+    namespace = {}
+    exec("from euclidkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert all(namespace[name] is getattr(euclidkit, name) for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES + MODULES) <= set(dir(euclidkit))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'euclidkit' has no attribute 'nope'"):
+        euclidkit.nope
+    with pytest.raises(ImportError):
+        exec("from euclidkit import nope", {})
+
+
+# ---------------------------------------------------------------------------
+# what a fresh interpreter loads
+
+_REPORT = (
+    "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'euclidkit'),"
+    " 'numpy' in sys.modules]))"
+)
+
+
+def _loaded(code: str) -> tuple[set[str], bool]:
+    """(euclidkit modules loaded, whether numpy was) after running code in a
+    new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{_REPORT}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules, numpy = json.loads(result.stdout.splitlines()[-1])
+    return set(modules), numpy
+
+
+def _after_command(*argv: str) -> tuple[set[str], bool]:
+    return _loaded(f"from euclidkit import cli\ncli.main({list(argv)!r})")
+
+
+CLI_BASE = {"euclidkit", "euclidkit.cli", "euclidkit.errors"}
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded("import euclidkit") == ({"euclidkit"}, False)
+
+
+def test_gcd_loads_only_the_euclid_layer():
+    assert _after_command("gcd", "240", "46") == (CLI_BASE | {"euclidkit.euclid"}, False)
+
+
+def test_dedekind_loads_only_the_dedekind_layer():
+    assert _after_command("dedekind", "5", "7") == (CLI_BASE | {"euclidkit.dedekind"}, False)
+
+
+def test_only_the_perfect_scan_loads_numpy():
+    assert _after_command("perfect", "7")[1] is False
+    assert _after_command("perfect", "--scan", "100")[1] is True

@@ -138,6 +138,27 @@ def test_perfect_from_mersenne_budget():
         perfect_from_mersenne(61, step_budget=10**5)
 
 
+def test_perfect_from_mersenne_refuses_a_sigma_it_cannot_finish(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sigma called")
+
+    monkeypatch.setattr(propositions, "sigma", unreachable)
+    message = r"^factorize\(2658455991569831744654692615953842176\): exceeded 10000000 trial"
+    with pytest.raises(ResourceLimitError, match=message):
+        perfect_from_mersenne(61)
+
+
+def test_perfect_from_mersenne_budget_seam_is_sigmas():
+    # sigma takes (isqrt(2**31 - 1) - 1) // 2 = 23169 trial divisions on 2**30 * (2**31 - 1)
+    value = 2**30 * (2**31 - 1)
+    assert perfect_from_mersenne(31, step_budget=23169).sigma_value == 2 * value
+    with pytest.raises(ResourceLimitError) as by_sigma:
+        sigma(value, step_budget=23168)
+    with pytest.raises(ResourceLimitError) as up_front:
+        perfect_from_mersenne(31, step_budget=23168)
+    assert str(up_front.value) == str(by_sigma.value)
+
+
 def test_classify_perfect_frozen_values():
     assert classify_perfect(6) == 2
     assert classify_perfect(28) == 3
