@@ -50,6 +50,8 @@ def _field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:  # ints only: no per-element dispatch
+            return ",".join(map(_shown, value))
         return ",".join(map(_field, value))
     if isinstance(value, float):
         return format(value, ".15g")
@@ -278,7 +280,8 @@ def _cmd_grimm(args, report: Report) -> None:
     if single == (args.scan is not None):
         raise UsageError("grimm needs either m n or --scan")
     if args.scan is not None:
-        for m, n, matched, assignment, validated in sequences.grimm_scan(args.scan):
+        scan = sequences.grimm_scan(args.scan, sieve_budget=args.budget)
+        for m, n, matched, assignment, validated in scan:
             report.rows.append({"m": m, "n": n, "matched": matched, "assignment": assignment})
             if not matched:
                 report.violations.append(f"run {m}+1..{m}+{n} admits no distinct prime assignment")
@@ -289,7 +292,7 @@ def _cmd_grimm(args, report: Report) -> None:
         runs = len(report.rows)  # each violation names one run
         report.summary.update(runs=runs, matched_runs=runs - len(report.violations))
         return
-    result = sequences.grimm_assign(args.m, args.n)
+    result = sequences.grimm_assign(args.m, args.n, step_budget=args.budget)
     if result is None:
         report.summary["matched"] = False
         report.violations.append(
@@ -343,7 +346,7 @@ COMMANDS = (
     Command("euclid-extend", "primes* --budget", _cmd_euclid_extend),
     Command("wseq", "values+", _cmd_wseq),
     Command("interval-equiv", "m? --scan", _cmd_interval_equiv),
-    Command("grimm", "m? n? --scan", _cmd_grimm),
+    Command("grimm", "m? n? --scan --budget", _cmd_grimm),
     Command("nonw", "m --max", _cmd_nonw),
 )
 

@@ -136,8 +136,10 @@ def _match(divisors: list[list[int]]) -> tuple[int, ...] | None:
                 return True
         return False
 
-    for pos in range(len(divisors)):
-        if not try_assign(pos, set()):
+    for pos, primes in enumerate(divisors):
+        if primes and primes[0] not in owner:  # what try_assign would choose first
+            owner[primes[0]] = pos
+        elif not try_assign(pos, set()):
             return None
     assignment: list[int] = [0] * len(divisors)
     for p, pos in owner.items():
@@ -173,15 +175,23 @@ def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple
     return out
 
 
-def verify_assignment(result: GrimmAssignment) -> bool:
-    """Re-check an assignment from scratch: divisibility and distinctness."""
+def verify_assignment(result: GrimmAssignment, *, _proven: set[int] | None = None) -> bool:
+    """Re-check an assignment from scratch: divisibility and distinctness,
+    and primality by trial division. _proven is grimm_scan's set of primes
+    that passed the trial division earlier in the same scan: they skip it,
+    and the primes that pass it here join it. It holds primality only, so
+    divisibility is checked on every run."""
     if len(result.assignment) != result.length:
         return False
     if len(set(result.assignment)) != result.length:
         return False
+    proven = set() if _proven is None else _proven
     for i, p in enumerate(result.assignment):
-        value = result.start + 1 + i
-        if p < 2 or smallest_prime_factor(p) != p or value % p != 0:
+        if p not in proven:
+            if p < 2 or smallest_prime_factor(p) != p:
+                return False
+            proven.add(p)
+        if (result.start + 1 + i) % p != 0:
             return False
     return True
 
@@ -226,6 +236,7 @@ def _prime_divisors(n: int, table) -> list[int]:
     while n > 1:
         p = table[n]
         out.append(p)
+        n //= p  # p = table[n] divides n
         while n % p == 0:
             n //= p
     return out
@@ -237,8 +248,8 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     Returns a list of (m, n, matched, assignment, validated). One
     smallest-prime-factor table, up to the first prime past limit, gives the
     runs and every element's prime divisors. Each assignment is re-checked
-    by verify_assignment, which trial-divides; an infeasible run is
-    confirmed as in grimm_assign.
+    by verify_assignment, which trial-divides each distinct prime once per
+    scan; an infeasible run is confirmed as in grimm_assign.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
@@ -249,6 +260,7 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     top = next(v for v in count(limit + 1) if smallest_prime_factor(v) == v)
     table = _factor_table(top)
     primes = [v for v in range(2, top + 1) if table[v] == v]
+    proven: set[int] = set()  # primes verify_assignment has trial-divided
     results = []
     for p, q in zip(primes, primes[1:]):
         n = q - p - 1
@@ -259,7 +271,7 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
         if assignment is None:
             results.append((p, n, False, (), False))
         else:
-            validated = verify_assignment(GrimmAssignment(p, n, assignment))
+            validated = verify_assignment(GrimmAssignment(p, n, assignment), _proven=proven)
             results.append((p, n, True, assignment, validated))
     return results
 

@@ -5,6 +5,7 @@ print. Every criterion is self-contained and uses independent oracles where
 an expected value has to come from somewhere other than the code under test.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -303,11 +304,14 @@ def test_criterion_14_grimm_scan():
     all_matched = all(matched and validated for _, _, matched, _, validated in results)
     cli = _run_cli("grimm", "--scan", "1000", "--format", "report")
     elapsed = time.monotonic() - start
+    # the rows as the scan that trial-divided every assigned prime gave them
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    same_rows = digest == "aff8284b5527c3a9de9e2de6189843f3074c1a8fc965fa12d4c199b45091c0f8"
     _criterion(
         14,
         "every maximal composite run with start <= 10^5 admits a re-validated "
-        "distinct-prime assignment; the scan command exits 0",
-        all_matched and cli.returncode == 0 and elapsed < 120.0,
+        "distinct-prime assignment, the same rows byte for byte; the scan command exits 0",
+        all_matched and same_rows and cli.returncode == 0 and elapsed < 120.0,
         f"{len(results)} runs, {elapsed:.1f}s",
     )
 

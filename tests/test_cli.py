@@ -561,7 +561,7 @@ def test_interval_equiv_flags_a_mismatch(capsys, monkeypatch, argv, tail):
     [("text", "VIOLATION: {}\n"), ("report", "violation: {}\n")],
 )
 def test_grimm_scan_flags_a_run_that_fails_re_validation(capsys, monkeypatch, fmt, line):
-    monkeypatch.setattr(sequences, "verify_assignment", lambda result: False)
+    monkeypatch.setattr(sequences, "verify_assignment", lambda result, **_: False)
     code, out, _ = run_main(capsys, "grimm", "--scan", "100", "--format", fmt)
     assert code == 1
     assert line.format("run 3+1..3+1: assignment failed independent re-validation") in out
@@ -724,6 +724,28 @@ ERROR_GOLDENS = [
         id="perfect-sigma-budget",
     ),
     pytest.param(
+        ["grimm", "--scan", "101", "--budget", "100"],
+        3,
+        {
+            "text": "grimm  budget=100 format=text scan=101\n"
+            "VIOLATION: grimm_scan(101): sieve limit is 100\n",
+            "report": "command: grimm\nparam budget: 100\nparam format: report\nparam scan: 101\n"
+            "violation: grimm_scan(101): sieve limit is 100\n",
+        },
+        id="grimm-scan-budget",
+    ),
+    pytest.param(
+        ["grimm", "89", "7", "--budget", "1"],
+        3,
+        {
+            "text": "grimm  budget=1 format=text m=89 n=7\n"
+            "VIOLATION: factorize(91): exceeded 1 trial divisions\n",
+            "report": "command: grimm\nparam budget: 1\nparam format: report\nparam m: 89\n"
+            "param n: 7\nviolation: factorize(91): exceeded 1 trial divisions\n",
+        },
+        id="grimm-assign-budget",
+    ),
+    pytest.param(
         ["nonw", "0", "--max", "10001"],
         3,
         {
@@ -835,6 +857,21 @@ def test_euclid_extend_past_the_digit_limit_golden(capsys):
         "summary e: <15236-bit integer>\nsummary new_prime: 2\n",
         "",
     )
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ([2, 3, 5], "2,3,5"),
+        ((2, True, False), "2,true,false"),
+        ((2, 10**4400), f"2,<{(10**4400).bit_length()}-bit integer>"),
+        ((), ""),
+    ],
+    ids=["ints", "bools", "past-the-digit-limit", "empty"],
+)
+def test_field_renders_sequences_element_by_element(value, shown):
+    # an all-int sequence is joined in one pass; anything else goes per element
+    assert cli._field(value) == shown
 
 
 def test_help_golden(capsys, monkeypatch):

@@ -27,7 +27,7 @@ from euclidkit import (
     w_witness,
 )
 from euclidkit import sequences
-from euclidkit.integers import _window_flags
+from euclidkit.integers import _window_flags, smallest_prime_factor
 from euclidkit.sequences import DEFAULT_WINDOW_CAP, _interval_sides, _match
 from oracles import (
     assignment_by_backtracking,
@@ -388,6 +388,48 @@ def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     read, names = _names_reached(verify_assignment)
     assert "smallest_prime_factor" in read
     assert not {"_factor_table", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
+
+
+def test_grimm_scan_trial_divides_each_distinct_prime_once(monkeypatch):
+    calls = []
+
+    def counted(n, **kwargs):
+        calls.append(n)
+        return smallest_prime_factor(n, **kwargs)
+
+    monkeypatch.setattr(sequences, "smallest_prime_factor", counted)
+    limit = 10**4
+    top = next(v for v in range(limit + 1, 2 * limit) if is_prime_trial(v))
+    rows = grimm_scan(limit)
+    assert all(matched and validated for _, _, matched, _, validated in rows)
+    distinct = {p for _, _, _, assignment, _ in rows for p in assignment}
+    searched = list(range(limit + 1, top + 1))  # the search for the first prime past limit
+    assert len(calls) == len(distinct) + len(searched)
+    assert calls[: len(searched)] == searched
+    assert sorted(calls[len(searched) :]) == sorted(distinct)
+    # a second scan carries nothing over: it trial-divides every prime again
+    calls.clear()
+    assert grimm_scan(limit) == rows
+    assert len(calls) == len(distinct) + len(searched)
+
+
+def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monkeypatch):
+    rows = grimm_scan(100)
+    # 11 passed trial division for an earlier run, and divides none of 90 .. 96
+    assert any(11 in assignment for m, _, _, assignment, _ in rows if m < 89)
+    real_match = sequences._match
+
+    def tampered(divisors):
+        assignment = real_match(divisors)
+        if divisors == [prime_divisors_by_trial(v) for v in range(90, 97)]:
+            return (11, *assignment[1:])
+        return assignment
+
+    monkeypatch.setattr(sequences, "_match", tampered)
+    expected = [
+        (89, 7, True, (11, *row[3][1:]), False) if row[0] == 89 else row for row in rows
+    ]
+    assert grimm_scan(100) == expected
 
 
 # ---------------------------------------------------------------------------
