@@ -50,8 +50,6 @@ def _field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # ints only: no per-element dispatch
-            return ",".join(map(_shown, value))
         return ",".join(map(_field, value))
     if isinstance(value, float):
         return format(value, ".15g")

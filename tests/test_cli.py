@@ -870,7 +870,7 @@ def test_euclid_extend_past_the_digit_limit_golden(capsys):
     ids=["ints", "bools", "past-the-digit-limit", "empty"],
 )
 def test_field_renders_sequences_element_by_element(value, shown):
-    # an all-int sequence is joined in one pass; anything else goes per element
+    # every element follows the value policy; a fast path for int-only sequences must too
     assert cli._field(value) == shown
 
 
