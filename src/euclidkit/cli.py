@@ -417,8 +417,12 @@ def main(argv=None) -> int:
             text = render_text(report)
         out_path = report.parameters.get("out")
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:  # a path that cannot be written is a usage error
+                sys.stderr.write(f"cannot write {out_path}: {exc.strerror}\n")
+                return 2
         elif code in (2, 3):
             sys.stderr.write(text)
         else:

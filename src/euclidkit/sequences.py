@@ -3,6 +3,7 @@ prime divisors for composite runs, and witness-free run lengths."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from math import ceil, gcd, log, prod
@@ -18,7 +19,6 @@ from .integers import (
     smallest_prime_factor,
 )
 
-DEFAULT_WINDOW_CAP = 10**4
 _BLOCK = 32  # values per block product in w_witness
 
 
@@ -284,15 +284,21 @@ def default_window_bound(m: int) -> int:
 
 def non_w_max_run(m: int, n_max: int) -> int:
     """Largest n <= n_max such that m+1 .. m+n has no coprime witness (0 if
-    every length has one). Checks every n: witness-freeness is not monotone."""
+    every length has one). A number measuring v and v + d measures d (Euclid
+    VII.1-2), so m + i witnesses exactly the lengths i <= n < i + L when
+    i <= L, L the least prime dividing m + i (n_max + 1 if none is <= n_max):
+    one sieve pass gives every L, and one pass over n the last length left."""
     _at_least(m, "m", 0, "non_w_max_run")
     _at_least(n_max, "n_max", 1, "non_w_max_run")
-    if n_max > DEFAULT_WINDOW_CAP:
-        raise ResourceLimitError(
-            f"non_w_max_run window cap is {DEFAULT_WINDOW_CAP}, got n_max = {_shown(n_max)}"
-        )
-    best = 0
+    primes = primes_up_to(n_max)  # refuses n_max past the sieve limit
+    least = array("I", [n_max + 1]) * (n_max + 1)  # least[i] = L for m + i
+    for p in reversed(primes):  # smallest prime writes last
+        first = -m % p  # offset of the first multiple of p; index 0 is unused
+        least[first::p] = array("I", [p]) * len(range(first, n_max + 1, p))
+    best = reach = 0  # reach: the longest length some element up to n covers
     for n in range(1, n_max + 1):
-        if w_witness(range(m + 1, m + n + 1)).witness_index is None:
+        if n <= least[n]:
+            reach = max(reach, n + least[n] - 1)
+        if reach < n:
             best = n
     return best

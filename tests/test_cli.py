@@ -509,6 +509,36 @@ def test_scan_and_statistics_report_goldens(capsys, argv, golden):
     assert run_main(capsys, *argv, "--format", "report") == (0, golden, "")
 
 
+# Long windows: Pillai's first witness-free run of 17 (2184..2200) is still
+# the longest with a bound of 10^4, and a 12-digit m on its default bound.
+@pytest.mark.parametrize(
+    "argv, goldens",
+    [
+        pytest.param(
+            ["nonw", "2183", "--max", "10000"],
+            {
+                "text": "nonw  format=text m=2183 max=10000\nbound = 10000\nlongest_run = 17\n",
+                "report": "command: nonw\nparam format: report\nparam m: 2183\n"
+                "param max: 10000\nsummary bound: 10000\nsummary longest_run: 17\n",
+            },
+            id="pillai-run-at-max-10000",
+        ),
+        pytest.param(
+            ["nonw", "999999999999"],
+            {
+                "text": "nonw  format=text m=999999999999\nbound = 3054\nlongest_run = 0\n",
+                "report": "command: nonw\nparam format: report\nparam m: 999999999999\n"
+                "summary bound: 3054\nsummary longest_run: 0\n",
+            },
+            id="twelve-digit-m-default-bound",
+        ),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_nonw_long_window_goldens(capsys, argv, goldens, fmt):
+    assert run_main(capsys, *argv, "--format", fmt) == (0, goldens[fmt], "")
+
+
 def test_dynamics_trace_goldens(capsys):
     argv = ["dynamics", "21", "13", "--trace"]
     assert run_main(capsys, *argv) == (0, DYNAMICS_TRACE_TEXT_GOLDEN, "")
@@ -746,15 +776,15 @@ ERROR_GOLDENS = [
         id="grimm-assign-budget",
     ),
     pytest.param(
-        ["nonw", "0", "--max", "10001"],
+        ["nonw", "0", "--max", "10000001"],
         3,
         {
-            "text": "nonw  format=text m=0 max=10001\n"
-            "VIOLATION: non_w_max_run window cap is 10000, got n_max = 10001\n",
-            "report": "command: nonw\nparam format: report\nparam m: 0\nparam max: 10001\n"
-            "violation: non_w_max_run window cap is 10000, got n_max = 10001\n",
+            "text": "nonw  format=text m=0 max=10000001\n"
+            "VIOLATION: primes_up_to(10000001): sieve limit is 10000000\n",
+            "report": "command: nonw\nparam format: report\nparam m: 0\nparam max: 10000001\n"
+            "violation: primes_up_to(10000001): sieve limit is 10000000\n",
         },
-        id="nonw-window-cap",
+        id="nonw-sieve-limit",
     ),
 ]
 
@@ -891,6 +921,27 @@ def test_out_flag_writes_the_report(tmp_path):
     content = out_path.read_text(encoding="utf-8")
     assert "summary gcd: 2" in content
     assert f"param out: {out_path}" in content
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+@pytest.mark.parametrize(
+    "argv", [["gcd", "240", "46"], ["gcd", "0", "5"]], ids=["success", "error"]
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        pytest.param("directory", "Is a directory", id="directory"),
+        pytest.param("missing-parent", "No such file or directory", id="missing-parent"),
+    ],
+)
+def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, target, reason, argv, fmt):
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "run.txt"
+    assert run_main(capsys, *argv, "--format", fmt, "--out", str(out_path)) == (
+        2,
+        "",
+        f"cannot write {out_path}: {reason}\n",
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from euclidkit import (
     w_witness,
 )
 from euclidkit import sequences
-from euclidkit.integers import _window_flags, smallest_prime_factor
-from euclidkit.sequences import DEFAULT_WINDOW_CAP, _interval_sides, _match
+from euclidkit.integers import DEFAULT_SIEVE_LIMIT, _window_flags, smallest_prime_factor
+from euclidkit.sequences import _interval_sides, _match
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -187,7 +187,16 @@ def _names_reached(*roots):
     return read, names
 
 
-_PRIMALITY = {"primes_up_to", "factorize", "smallest_prime_factor", "_window_flags"}
+# The w side tests no primality, and does not use non_w_max_run either: that
+# applies Euclid VII.1-2 to a window, which would restate the proof of the
+# equivalence the two sides check.
+_NOT_ON_THE_W_SIDE = {
+    "primes_up_to",
+    "factorize",
+    "smallest_prime_factor",
+    "_window_flags",
+    "non_w_max_run",
+}
 
 
 def test_witness_side_tests_no_primality():
@@ -201,7 +210,7 @@ def test_witness_side_tests_no_primality():
         "_shares_factor",
     }
     assert "gcd" in names
-    assert not names & _PRIMALITY
+    assert not names & _NOT_ON_THE_W_SIDE
 
 
 def test_prime_side_takes_no_gcd():
@@ -214,6 +223,7 @@ def test_interval_sides_reach_both_scans():
     read, names = _names_reached(_interval_sides)
     assert {"w_witness", "_window_flags"} <= read
     assert {"gcd", "_window_flags"} <= names
+    assert "non_w_max_run" not in names
 
 
 @pytest.mark.parametrize(
@@ -465,6 +475,29 @@ def test_non_w_max_run_not_monotone_in_length():
     assert free != set(range(1, 18))
 
 
+def _assert_every_prefix_agrees(m, n_max, has_witness):
+    for n in range(1, n_max + 1):
+        assert (non_w_max_run(m, n) == n) == (not has_witness(range(m + 1, m + n + 1))), (m, n)
+
+
+def test_non_w_max_run_agrees_with_w_witness_on_every_prefix():
+    rng = random.Random(2184)
+    starts = [*range(60), *(rng.randrange(10**6) for _ in range(20))]
+    starts += [rng.randrange(10**30) for _ in range(20)]
+    for m in starts:
+        _assert_every_prefix_agrees(m, 60, lambda w: w_witness(w).witness_index is not None)
+
+
+@pytest.mark.parametrize("m", [10**40 + 7, 2183 + 30030 * 10**36])
+def test_non_w_max_run_at_forty_digits_agrees_with_the_pairwise_oracle(m):
+    # witness_by_pair_matrix takes gcds by descending from min(a, b), out of
+    # reach at 40 digits; the plain pairwise math.gcd oracle shares no code
+    # with the package. 2183 + 30030 k keeps 2183's residues mod 2..13, and
+    # with them its witness-free run of 17.
+    _assert_every_prefix_agrees(m, 90, lambda w: witness_by_pairwise_gcd(list(w)) is not None)
+    assert non_w_max_run(m, 90) == (17 if m % 30030 == 2183 else 0)
+
+
 def test_default_window_bound_values():
     assert default_window_bound(0) == 2
     assert default_window_bound(2183) == 237
@@ -478,9 +511,13 @@ def test_non_w_max_run_domain_and_cap():
         non_w_max_run(-1, 5)
     with pytest.raises(DomainError):
         non_w_max_run(10, 0)
+    # the sieve of the primes up to n_max is the only size limit
     with pytest.raises(
-        ResourceLimitError, match=r"^non_w_max_run window cap is 10000, got n_max = 10001$"
+        ResourceLimitError, match=r"^primes_up_to\(10000001\): sieve limit is 10000000$"
     ):
-        non_w_max_run(10, DEFAULT_WINDOW_CAP + 1)
-    with pytest.raises(ResourceLimitError, match="got n_max = <16610-bit integer>"):
+        non_w_max_run(10, DEFAULT_SIEVE_LIMIT + 1)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^primes_up_to\(<16610-bit integer>\): sieve limit is 10000000$",
+    ):
         non_w_max_run(10, 10**5000)
