@@ -43,5 +43,6 @@ def _shown(value) -> str:
 
 def rational_str(value) -> str:
     """A rational (a fractions.Fraction, which keeps itself reduced with a
-    positive denominator) as "num/den", the denominator always explicit."""
-    return f"{value.numerator}/{value.denominator}"
+    positive denominator) as "num/den", the denominator always explicit,
+    each shown as _shown shows an int."""
+    return f"{_shown(value.numerator)}/{_shown(value.denominator)}"

@@ -120,10 +120,14 @@ def interval_equivalence_scan(
     return [(m, *_interval_sides(m, base_primes)) for m in range(1, limit + 1)]
 
 
-def _match(divisors: list[list[int]]) -> tuple[int, ...] | None:
-    """Distinct primes, one from each divisors[i], or None if there are none,
-    by augmenting-path bipartite matching; positions and primes are tried in
-    ascending order, so the result is deterministic."""
+def _match(divisors: list[list[int]]) -> tuple[tuple[int, ...] | None, list[int]]:
+    """Distinct primes, one from each divisors[i], by augmenting-path
+    bipartite matching (Kuhn): (assignment, []), or (None, stuck) if there
+    are none. Positions and primes are tried in ascending order, so the
+    result is deterministic. A failed search leaves owner as it was and bans
+    every prime of each position it reaches, each prime owned by a distinct
+    reached position: stuck, the failed position and those owners, draws on
+    len(stuck) - 1 primes, Hall's certificate that no choice exists."""
     owner: dict[int, int] = {}  # prime -> position currently using it
 
     def try_assign(pos: int, banned: set[int]) -> bool:
@@ -139,12 +143,12 @@ def _match(divisors: list[list[int]]) -> tuple[int, ...] | None:
     for pos, primes in enumerate(divisors):
         if primes and primes[0] not in owner:  # what try_assign would choose first
             owner[primes[0]] = pos
-        elif not try_assign(pos, set()):
-            return None
+        elif not try_assign(pos, banned := set()):
+            return None, [pos, *(owner[p] for p in banned)]
     assignment: list[int] = [0] * len(divisors)
     for p, pos in owner.items():
         assignment[pos] = p
-    return tuple(assignment)
+    return tuple(assignment), []
 
 
 def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssignment | None:
@@ -196,37 +200,16 @@ def verify_assignment(result: GrimmAssignment, *, _proven: set[int] | None = Non
     return True
 
 
-def _assignment_by_backtracking(divisor_sets: list[list[int]]) -> list[int] | None:
-    """Exhaustive search for distinct representatives; the slow safety net
-    that must confirm any run the matching reports as infeasible."""
-    n = len(divisor_sets)
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for p in divisor_sets[i]:
-            if p not in used:
-                used.add(p)
-                chosen.append(p)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                used.remove(p)
-        return False
-
-    return chosen[:] if extend(0) else None
-
-
 def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | None:
     """_match on the window m+1 .. m+len(divisors). Its None (infeasible)
-    stands only once exhaustive backtracking confirms it; disagreement
-    between the two searches is a bug and raises."""
-    assignment = _match(divisors)
-    if assignment is None and _assignment_by_backtracking(divisors) is not None:
+    stands only when the distinct positions its certificate names share
+    fewer primes than they number, which no distinct choice survives; any
+    other certificate is a bug and raises."""
+    assignment, stuck = _match(divisors)
+    hall = {i for i in stuck if 0 <= i < len(divisors)}  # distinct, in-range positions
+    if assignment is None and len(set().union(*(divisors[i] for i in hall))) >= len(hall):
         end = _shown(m + len(divisors))
-        raise RuntimeError(f"matching and backtracking disagree at run {_shown(m)}+1..{end}")
+        raise RuntimeError(f"infeasibility certificate fails at run {_shown(m)}+1..{end}")
     return assignment
 
 
@@ -249,7 +232,7 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     smallest-prime-factor table, up to the first prime past limit, gives the
     runs and every element's prime divisors. Each assignment is re-checked
     by verify_assignment, which trial-divides each distinct prime once per
-    scan; an infeasible run is confirmed as in grimm_assign.
+    scan; an infeasible run is certified as in grimm_assign.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
@@ -277,9 +260,11 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
 
 
 def default_window_bound(m: int) -> int:
-    """Default search ceiling for witness-free runs: ceil(4 * ln(m+2)^2)."""
+    """Default search ceiling for witness-free runs: ceil(4 * ln(m+2)^2),
+    capped at DEFAULT_SIEVE_LIMIT, past which non_w_max_run refuses (the cap
+    binds from m = 10^687 on)."""
     _at_least(m, "m", 0, "default_window_bound")
-    return max(1, ceil(4 * log(m + 2) ** 2))
+    return min(DEFAULT_SIEVE_LIMIT, max(1, ceil(4 * log(m + 2) ** 2)))
 
 
 def non_w_max_run(m: int, n_max: int) -> int:

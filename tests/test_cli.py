@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -895,9 +896,10 @@ def test_euclid_extend_past_the_digit_limit_golden(capsys):
         ([2, 3, 5], "2,3,5"),
         ((2, True, False), "2,true,false"),
         ((2, 10**4400), f"2,<{(10**4400).bit_length()}-bit integer>"),
+        ((Fraction(1, 2), Fraction(10**5000 + 1, 3)), "1/2,<16610-bit integer>/3"),
         ((), ""),
     ],
-    ids=["ints", "bools", "past-the-digit-limit", "empty"],
+    ids=["ints", "bools", "past-the-digit-limit", "rationals", "empty"],
 )
 def test_field_renders_sequences_element_by_element(value, shown):
     # every element follows the value policy; a fast path for int-only sequences must too

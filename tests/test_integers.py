@@ -228,6 +228,8 @@ def test_rational_str_frozen_values():
     assert rational_str(Fraction(0)) == "0/1"
     assert rational_str(Fraction(-1, 14)) == "-1/14"
     assert rational_str(Fraction(36, 24)) == "3/2"
+    # past the int-to-str digit limit, as _shown shows an int
+    assert rational_str(Fraction(10**5000 + 1, 3)) == "<16610-bit integer>/3"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import random
 import textwrap
+import time
 from math import gcd as builtin_gcd
 
 import pytest
@@ -28,7 +29,7 @@ from euclidkit import (
 )
 from euclidkit import sequences
 from euclidkit.integers import DEFAULT_SIEVE_LIMIT, _window_flags, smallest_prime_factor
-from euclidkit.sequences import _interval_sides, _match
+from euclidkit.sequences import _confirmed_match, _interval_sides, _match
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -367,7 +368,8 @@ def test_grimm_scan_rows_match_trial_division_to_3000():
         if start > 3000:
             break
         divisors = [prime_divisors_by_trial(v) for v in range(start + 1, start + length + 1)]
-        assignment = _match(divisors)
+        assignment, stuck = _match(divisors)
+        assert stuck == []
         rebuilt.append((start, length, True, assignment, True))
     assert rows == rebuilt
     # the rows as the trial-division scan (one factorize per element) gave them
@@ -381,17 +383,75 @@ def test_grimm_scan_honours_its_sieve_budget():
         grimm_scan(101, sieve_budget=100)
 
 
+def _hall_deficient(divisors, stuck) -> bool:
+    """stuck names distinct positions whose primes are fewer than they are."""
+    primes = set().union(*(divisors[i] for i in stuck))
+    return len(set(stuck)) == len(stuck) > len(primes)
+
+
+def test_match_agrees_with_backtracking_on_random_families():
+    rng = random.Random(13)
+    primes = [2, 3, 5, 7, 11, 13, 17]
+    infeasible = 0
+    for _ in range(20000):
+        pool = primes[: rng.randint(1, 7)]
+        divisors = [
+            sorted(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            for _ in range(rng.randint(1, 7))
+        ]
+        assignment, stuck = _match(divisors)
+        assert (assignment is not None) == (assignment_by_backtracking(divisors) is not None)
+        assert _confirmed_match(divisors, 0) == assignment
+        if assignment is None:
+            infeasible += 1
+            assert all(0 <= i < len(divisors) for i in stuck)
+            assert _hall_deficient(divisors, stuck), divisors
+        else:
+            assert stuck == []
+            assert len(set(assignment)) == len(divisors)
+            assert all(p in options for p, options in zip(assignment, divisors))
+    assert 5000 < infeasible < 15000  # both branches were exercised
+
+
+@pytest.mark.parametrize(
+    "divisors", [[[2], [2]], [[2, 5], [2], [5], [3]]], ids=["two-on-one", "three-on-two"]
+)
+def test_hand_built_infeasible_families_carry_a_hall_certificate(divisors):
+    assignment, stuck = _match(divisors)
+    assert assignment is None
+    assert _hall_deficient(divisors, stuck)
+    assert _confirmed_match(divisors, 0) is None
+
+
+def test_eleven_positions_on_ten_primes_are_refused_without_a_search():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    divisors = [primes[:] for _ in range(11)]
+    start = time.perf_counter()
+    assert _confirmed_match(divisors, 0) is None
+    assert time.perf_counter() - start < 0.5  # exhaustive backtracking took seconds
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        lambda divisors: [0],
+        lambda divisors: list(range(len(divisors))),
+        lambda divisors: [len(divisors) - 1] * 3,
+        lambda divisors: [-1, len(divisors) - 1],
+    ],
+    ids=["first", "all", "repeated", "aliased"],
+)
 @pytest.mark.parametrize(
     "call, run",
     [(lambda: grimm_assign(89, 7), "89+1..96"), (lambda: grimm_scan(100), "3+1..4")],
     ids=["grimm_assign", "grimm_scan"],
 )
-def test_an_infeasible_window_is_confirmed_by_backtracking(monkeypatch, call, run):
-    # every window here has an assignment, so backtracking contradicts the matching
-    monkeypatch.setattr(sequences, "_match", lambda divisors: None)
+def test_a_bogus_infeasibility_certificate_raises(monkeypatch, call, run, certificate):
+    # every window here has an assignment, so no certificate can pass the check
+    monkeypatch.setattr(sequences, "_match", lambda divisors: (None, certificate(divisors)))
     with pytest.raises(RuntimeError) as exc:
         call()
-    assert str(exc.value) == f"matching and backtracking disagree at run {run}"
+    assert str(exc.value) == f"infeasibility certificate fails at run {run}"
 
 
 def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
@@ -430,10 +490,10 @@ def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monk
     real_match = sequences._match
 
     def tampered(divisors):
-        assignment = real_match(divisors)
+        assignment, stuck = real_match(divisors)
         if divisors == [prime_divisors_by_trial(v) for v in range(90, 97)]:
-            return (11, *assignment[1:])
-        return assignment
+            return (11, *assignment[1:]), stuck
+        return assignment, stuck
 
     monkeypatch.setattr(sequences, "_match", tampered)
     expected = [
@@ -502,6 +562,9 @@ def test_default_window_bound_values():
     assert default_window_bound(0) == 2
     assert default_window_bound(2183) == 237
     assert default_window_bound(1) >= 1
+    # capped at the sieve limit that non_w_max_run enforces
+    assert default_window_bound(10**686) == 9980209
+    assert default_window_bound(10**687) == DEFAULT_SIEVE_LIMIT == 10**7
     with pytest.raises(DomainError):
         default_window_bound(-1)
 
