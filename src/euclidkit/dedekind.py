@@ -21,25 +21,36 @@ def sawtooth(x) -> Fraction:
     return x - floor - Fraction(1, 2)
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) = sum over a = 1..k of ((a/k)) * ((a*h/k)), exactly.
-
-    Evaluated in integer arithmetic over the common denominator 4*k*k:
-    for a not a multiple of k, ((a/k)) = (2a - k) / (2k).
-    """
-    _integer(h, "h")
-    _at_least(k, "k", 1, "dedekind_sum")
+def _terms(h: int, k: int) -> int:
+    """4*k*k * s(h, k), term by term: for a not a multiple of k,
+    ((a/k)) = (2a - k) / (2k)."""
     total = 0
     for a in range(1, k):
         ah = (a * h) % k
         if ah == 0:
             continue
         total += (2 * a - k) * (2 * ah - k)
-    return Fraction(total, 4 * k * k)
+    return total
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) = sum over a = 1..k of ((a/k)) * ((a*h/k)), exactly.
+
+    Evaluated in integer arithmetic over the common denominator 4*k*k.
+    """
+    _integer(h, "h")
+    _at_least(k, "k", 1, "dedekind_sum")
+    return Fraction(_terms(h, k), 4 * k * k)
 
 
 def reciprocity_residual(h: int, k: int) -> Fraction:
-    """s(h,k) + s(k,h) - ((h^2 + k^2 + 1)/(12hk) - 1/4); zero for coprime h, k."""
+    """s(h,k) + s(k,h) - ((h^2 + k^2 + 1)/(12hk) - 1/4); zero for coprime h, k.
+
+    Both sums are taken term by term, not by reciprocity, and the residual
+    is one fraction over 12*h*h*k*k: with T1 = 4k^2 s(h,k) and
+    T2 = 4h^2 s(k,h), its numerator is
+    3h^2 T1 + 3k^2 T2 - hk(h^2 + k^2 + 1) + 3h^2 k^2.
+    """
     _integer(h, "h")
     _integer(k, "k")
     if h < 1 or k < 1:
@@ -48,6 +59,6 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
         raise DomainError(
             f"reciprocity_residual needs coprime h, k, got ({_shown(h)}, {_shown(k)})"
         )
-    lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-    rhs = Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4)
-    return lhs - rhs
+    hh, kk = h * h, k * k
+    numerator = 3 * hh * _terms(h, k) + 3 * kk * _terms(k, h) - h * k * (hh + kk + 1) + 3 * hh * kk
+    return Fraction(numerator, 12 * hh * kk)

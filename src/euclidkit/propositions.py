@@ -157,23 +157,39 @@ def _sigma_segments(limit: int):
     """(n, sig) per segment of _SEGMENT values covering 1..limit, sig[i]
     being the divisor sum of n[i]. Each divisor pair d <= c of d*c adds
     d + c; in a segment the multiples d*c, c = c0, c0 + 1, ..., are one
-    strided view, which takes d + c0 plus a prefix of a shared ramp. numpy
-    is imported here rather than with the module, so that only the scan pays
-    for loading it."""
+    strided view, which adds d + c0, d + c0 + 1, ... in one call from a
+    shared ramp of base + x, base = 2*isqrt(lo). By AM-GM d + c0 >= base,
+    so the run starts at offset d + c0 - base; where it would pass the
+    ramp's end (small d in late segments) the view adds a prefix of the
+    ramp, then a constant. Sums are int32 while 6*limit < 2**31: sigma(n) <
+    6n for every n below 1.3 * 10**14 (OEIS A023199). numpy is imported
+    here rather than with the module, so that only the scan pays for
+    loading it."""
     import numpy as np
 
-    ramp = np.arange(_SEGMENT, dtype=np.int64)
-    for lo in range(1, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)  # the segment is lo .. hi - 1
-        sig = np.zeros(hi - lo, dtype=np.int64)
+    dtype = np.int32 if 6 * limit < 2**31 else np.int64
+    size = _SEGMENT
+    base = 0
+    ramp = np.arange(size, dtype=dtype)  # ramp[x] == base + x
+    for lo in range(1, limit + 1, size):
+        hi = min(lo + size, limit + 1)  # the segment is lo .. hi - 1
+        shift = 2 * isqrt(lo) - base
+        ramp += shift
+        base += shift
+        sig = np.zeros(hi - lo, dtype=dtype)
         for d in range(1, isqrt(hi - 1) + 1):
             c0 = max(d, -(-lo // d))  # least cofactor in the segment
             view = sig[d * c0 - lo :: d]
-            view += d + c0
-            view += ramp[: len(view)]
+            off = d + c0 - base
+            end = off + len(view)
+            if end <= size:
+                view += ramp[off:end]
+            else:
+                view += ramp[: len(view)]
+                view += off
             if c0 == d:
                 sig[d * d - lo] -= d  # square: d counted twice
-        yield ramp[: hi - lo] + lo, sig
+        yield ramp[: hi - lo] + (lo - base), sig
 
 
 def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:

@@ -88,6 +88,15 @@ def sigma_by_enumeration(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
+def sigma_by_multiples(limit: int) -> list[int]:
+    """Divisor sums of 0..limit: every d adds itself to each of its multiples."""
+    sums = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            sums[m] += d
+    return sums
+
+
 def sawtooth_by_fraction(x: Fraction) -> Fraction:
     """((x)): zero at integers, otherwise x - floor(x) - 1/2."""
     x = Fraction(x)

@@ -4,6 +4,7 @@ import tracemalloc
 from itertools import combinations
 from math import gcd as builtin_gcd
 
+import numpy as np
 import pytest
 
 from euclidkit import (
@@ -21,7 +22,7 @@ from euclidkit import (
     sigma,
 )
 from euclidkit import propositions
-from oracles import is_prime_trial, sigma_by_enumeration
+from oracles import is_prime_trial, sigma_by_enumeration, sigma_by_multiples
 from test_sequences import _names_reached
 
 # ---------------------------------------------------------------------------
@@ -199,9 +200,40 @@ def test_small_segments_give_the_same_sums_and_hits(monkeypatch, segment):
     assert perfect_scan(10**4) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
 
 
+@pytest.fixture(scope="module")
+def sums_to_10_5():
+    return sigma_by_multiples(10**5)
+
+
+@pytest.mark.parametrize("segment", [7, 64, 1000, propositions._SEGMENT])
+def test_segment_sums_match_the_multiples_oracle(monkeypatch, sums_to_10_5, segment):
+    # the default segment covers 10**5 in one piece, where every run of
+    # multiples fits the ramp; in the smaller ones, small d in later
+    # segments run past it and take the prefix-plus-constant fallback
+    monkeypatch.setattr(propositions, "_SEGMENT", segment)
+    values, sums = [], []
+    for n, sig in propositions._sigma_segments(10**5):
+        assert n.dtype == sig.dtype == np.int32
+        values += n.tolist()
+        sums += sig.tolist()
+    assert values == list(range(1, 10**5 + 1))
+    assert sums == sums_to_10_5[1:]
+
+
+def test_sums_widen_to_int64_where_6n_passes_int32():
+    # sigma(n) < 6n below 1.3 * 10**14, so int32 holds every sum while
+    # 6 * limit < 2**31; the generator is lazy, so next() builds one segment
+    assert next(propositions._sigma_segments(10**7))[1].dtype == np.int32
+    assert next(propositions._sigma_segments((2**31 - 1) // 6))[1].dtype == np.int32
+    n, sig = next(propositions._sigma_segments(2**29))
+    assert n.dtype == sig.dtype == np.int64
+    assert n.tolist() == list(range(1, propositions._SEGMENT + 1))
+    assert sig.tolist() == sigma_by_multiples(propositions._SEGMENT)[1:]
+
+
 def test_perfect_scan_peak_memory_does_not_grow_with_the_limit():
-    # a few arrays of one segment (2**18 int64 values, 2 MiB each): about
-    # 10 MiB at any limit. A sieve over the whole range holds more than 16
+    # a few arrays of one segment (2**18 int32 values, 1 MiB each): about
+    # 5 MiB at any limit. A sieve over the whole range holds more than 16
     # bytes per value, over 30 MiB at this limit.
     perfect_scan(10)  # numpy's own import is not the scan's memory
     tracemalloc.start()
