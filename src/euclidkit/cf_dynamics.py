@@ -5,7 +5,7 @@ matrices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .euclid import DEFAULT_STEP_BUDGET, _quotient_runs, gcd_remainder
@@ -13,15 +13,13 @@ from .euclid import DEFAULT_STEP_BUDGET, _quotient_runs, gcd_remainder
 DEFAULT_SCAN_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """Regular continued fraction [q1; q2, ...]: q1 >= 0, later terms >= 1."""
 
     quotients: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QuotientSumStat:
+class QuotientSumStat(NamedTuple):
     """Total of all partial quotients over denominators 1..a, with the
     6/pi^2 * a * ln(a)^2 prediction."""
 
@@ -31,8 +29,7 @@ class QuotientSumStat:
     ratio: float
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
+class UnimodularMatrix(NamedTuple):
     """2x2 integer matrix; products of the step matrices keep determinant 1."""
 
     m11: int
@@ -53,8 +50,7 @@ TOP_MINUS_BOTTOM = UnimodularMatrix(1, -1, 0, 1)  # applied when x >= y
 BOTTOM_MINUS_TOP = UnimodularMatrix(1, 0, -1, 1)  # applied when x < y
 
 
-@dataclass(frozen=True)
-class DynamicsRun:
+class DynamicsRun(NamedTuple):
     """One orbit of the subtractive map down to a zero coordinate."""
 
     start: tuple[int, int]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
 from math import gcd
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -31,15 +30,22 @@ if TYPE_CHECKING:
     from .euclid import EuclidTrace
 
 
-@dataclass
 class Report:
     """Everything a subcommand produced; rows and summary hold raw values."""
 
-    command: str
-    parameters: dict[str, str] = field(default_factory=dict)
-    rows: list[dict[str, object]] = field(default_factory=list)
-    summary: dict[str, object] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        command: str,
+        parameters: dict[str, str] | None = None,
+        rows: list[dict[str, object]] | None = None,
+        summary: dict[str, object] | None = None,
+        violations: list[str] | None = None,
+    ) -> None:
+        self.command = command
+        self.parameters = {} if parameters is None else parameters
+        self.rows = [] if rows is None else rows
+        self.summary = {} if summary is None else summary
+        self.violations = [] if violations is None else violations
 
 
 def _field(value) -> str:
@@ -351,7 +357,11 @@ COMMANDS = (
 _GROUPS = {"stats": ("corpus statistics", "stat")}  # group -> (help, dest of its choice)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv. Every command gets its subparser, so --help and
+    an invalid choice list them all, but only the command whose name (one or
+    two words) starts argv gets its arguments: argparse picks a subparser by
+    those exact words, so no other one can run."""
     parser = _Parser(prog="euclidkit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     nested = {"": subs}
@@ -362,6 +372,9 @@ def _build_parser() -> _Parser:
             group_parser = subs.add_parser(group, help=group_help)
             nested[group] = group_parser.add_subparsers(dest=dest, required=True)
         p = nested[group].add_parser(leaf, help=command.handler.__doc__)
+        words = command.name.split()
+        if argv[: len(words)] != words:
+            continue
         for token in command.arguments.split():
             flag = token.rstrip("?*+")
             options = _OPTIONS.get(flag, {"type": int})
@@ -389,8 +402,9 @@ def _parameters(args, command: Command) -> dict[str, str]:
 
 def execute(argv) -> tuple[int, Report | None]:
     """Run one invocation; returns (exit_code, report)."""
+    argv = list(argv)
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser(argv).parse_args(argv)
     except UsageError as exc:
         return 2, Report("usage", violations=[str(exc)])
     except SystemExit as exc:  # --help already printed its text
@@ -402,9 +416,9 @@ def execute(argv) -> tuple[int, Report | None]:
     except HypothesisFailedError as exc:  # a checked property failed: report it
         report.violations.append(str(exc))
     except (UsageError, DomainError, CertificateMismatchError) as exc:
-        return 2, replace(report, rows=[], summary={}, violations=[str(exc)])
+        return 2, Report(report.command, report.parameters, violations=[str(exc)])
     except ResourceLimitError as exc:
-        return 3, replace(report, rows=[], summary={}, violations=[str(exc)])
+        return 3, Report(report.command, report.parameters, violations=[str(exc)])
     return (1 if report.violations else 0), report
 
 

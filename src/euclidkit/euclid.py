@@ -14,15 +14,14 @@ import math
 import operator
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer, _shown
 
 DEFAULT_STEP_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class EuclidStep:
+class EuclidStep(NamedTuple):
     """One reduction: larger = smaller * quotient + remainder.
 
     Subtractive steps carry quotient None and remainder = larger - smaller.
@@ -104,8 +103,7 @@ class SubtractiveSteps(Sequence):
         return f"SubtractiveSteps(runs={self._runs!r}, len={self._len})"
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
+class EuclidTrace(NamedTuple):
     """Ordered reduction steps for one gcd computation."""
 
     method: str  # "subtractive" or "remainder"
@@ -122,8 +120,7 @@ class EuclidTrace:
         return [step.quotient for step in self.steps]
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(NamedTuple):
     """Integers x, y with a*x + b*y = g = gcd(a, b)."""
 
     a: int

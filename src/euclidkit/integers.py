@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 
@@ -76,8 +76,7 @@ def _window_flags(lo: int, hi: int, base_primes: list[int]) -> bytearray:
     return flags
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization as ascending (prime, exponent) pairs; empty for 1."""
 
     factors: tuple[tuple[int, int], ...]

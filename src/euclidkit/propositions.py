@@ -4,9 +4,9 @@ with their Mersenne structure."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -32,8 +32,7 @@ class LemmaWitness(Enum):
     NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class EuclidExtension:
+class EuclidExtension(NamedTuple):
     """Certificate that new_prime divides e_value = 1 + product(input_primes)
     and lies outside the input list."""
 
@@ -42,8 +41,7 @@ class EuclidExtension:
     new_prime: int
 
 
-@dataclass(frozen=True)
-class PerfectCertificate:
+class PerfectCertificate(NamedTuple):
     """Even perfect number 2**(p-1) * (2**p - 1) with its verified divisor sum."""
 
     p: int

@@ -4,10 +4,10 @@ prime divisors for composite runs, and witness-free run lengths."""
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from math import ceil, gcd, log, prod
 from operator import lt
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .integers import (
@@ -22,8 +22,7 @@ from .integers import (
 _BLOCK = 32  # values per block product in w_witness
 
 
-@dataclass(frozen=True)
-class WReport:
+class WReport(NamedTuple):
     """A strictly increasing sequence and the least index (1-based) of an
     element coprime to all the others, if one exists."""
 
@@ -37,8 +36,7 @@ class WReport:
         return self.sequence[self.witness_index - 1]
 
 
-@dataclass(frozen=True)
-class GrimmAssignment:
+class GrimmAssignment(NamedTuple):
     """Distinct primes for the composite window start+1 .. start+length;
     assignment[i] divides start + 1 + i."""
 

@@ -653,6 +653,24 @@ def test_help_exits_zero():
     assert "gcd" in result.stdout
 
 
+def test_exit_2_and_3_reports_keep_command_and_parameters_only():
+    common = {"format": "text", "trace": "false"}
+    cases = [
+        (["gcd", "0", "5"], 2, {"a": "0", "b": "5", "method": "remainder"}),
+        (
+            ["gcd", "1000000", "1", "--method", "subtractive", "--budget", "10"],
+            3,
+            {"a": "1000000", "b": "1", "method": "subtractive", "budget": "10"},
+        ),
+    ]
+    for argv, expected_code, params in cases:
+        code, report = cli.execute(argv)
+        assert (code, report.command) == (expected_code, "gcd")
+        assert report.parameters == {**common, **params}
+        assert (report.rows, report.summary, len(report.violations)) == ([], {}, 1)
+    assert cli.Report("gcd").rows is not cli.Report("gcd").rows  # fresh defaults
+
+
 def test_exit_code_1_report_goldens(capsys):
     message = "2**11 - 1 is composite; no perfect number here"
     assert run_main(capsys, "perfect", "11") == (
@@ -911,6 +929,17 @@ def test_help_golden(capsys, monkeypatch):
     assert run_main(capsys, "--help") == (0, HELP_GOLDEN, "")
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda command: command.name)
+def test_command_help_names_every_declared_argument(capsys, monkeypatch, command):
+    # the parser gives arguments only to the command argv names; its help has them all
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_main(capsys, *command.name.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: euclidkit {command.name} [-h]")
+    for token in [*command.arguments.split(), "--format", "--out"]:
+        assert f"\n  {token.rstrip('?*+')}" in out, token
+
+
 # ---------------------------------------------------------------------------
 # output file
 
@@ -1121,9 +1150,8 @@ def _readme_command_lines():
 
 
 def test_readme_command_lines_parse_and_cover_every_command():
-    parser = cli._build_parser()
     documented = set()
     for argv in _readme_command_lines():
         assert argv[0] == "euclidkit", argv
-        documented.add(parser.parse_args(argv[1:]).subcommand.name)
+        documented.add(cli._build_parser(argv[1:]).parse_args(argv[1:]).subcommand.name)
     assert documented == {command.name for command in cli.COMMANDS}

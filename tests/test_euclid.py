@@ -6,6 +6,7 @@ import random
 import textwrap
 import tracemalloc
 from math import gcd as builtin_gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -74,6 +75,28 @@ def test_xgcd_frozen_values():
     assert (cert.g, cert.x, cert.y) == (2, 47, -9)
     cert = xgcd(1, 1)
     assert (cert.g, cert.x, cert.y) == (1, 0, 1)
+
+
+def test_records_are_named_tuples_with_the_readme_repr():
+    # The README shows this repr. Fields stay read-only, and the tuple
+    # semantics are part of the contract: equality with a plain tuple,
+    # unpacking, len, _replace and _asdict.
+    cert = xgcd(240, 46)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"# {cert!r}\n" in readme
+    assert repr(cert) == "BezoutCertificate(a=240, b=46, g=2, x=-9, y=47)"
+    with pytest.raises(AttributeError):
+        cert.x = 0
+    with pytest.raises(AttributeError):
+        cert.note = "extra"
+    assert cert == (240, 46, 2, -9, 47)
+    a, b, g, x, y = cert
+    assert (len(cert), a * x + b * y) == (5, g)
+    assert cert._replace(x=14, y=-73) == BezoutCertificate(240, 46, 2, 14, -73)
+    assert cert._asdict() == {"a": 240, "b": 46, "g": 2, "x": -9, "y": 47}
+    _, trace = gcd_remainder(240, 46)
+    assert trace == ("remainder", trace.steps)
+    assert trace.steps[0] == EuclidStep(240, 46, 5, 10) == (240, 46, 5, 10)
 
 
 def test_quotients_only_defined_for_remainder_traces():

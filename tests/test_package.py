@@ -1,13 +1,16 @@
 """The package namespace: its public names, and which modules a command loads."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import euclidkit
+from test_cli import _readme_command_lines
 
 # Every public name the package binds. Before the namespace became one table,
 # __all__ listed all of these but yao_knuth_stat, which only star imports missed.
@@ -106,26 +109,31 @@ def test_an_unknown_name_raises_attribute_error():
 # ---------------------------------------------------------------------------
 # what a fresh interpreter loads
 
+# Standard-library modules the CLI keeps off its path (dataclasses with inspect
+# cost more to import than a small command's work), and numpy, which only the
+# perfect scan needs. numpy imports inspect itself.
+WATCHED = ["dataclasses", "inspect", "numpy"]
+
 _REPORT = (
     "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'euclidkit'),"
-    " 'numpy' in sys.modules]))"
+    f" [m for m in {WATCHED!r} if m in sys.modules]]))"
 )
 
 
-def _loaded(code: str) -> tuple[set[str], bool]:
-    """(euclidkit modules loaded, whether numpy was) after running code in a
-    new interpreter."""
+def _loaded(code: str) -> tuple[set[str], set[str]]:
+    """(euclidkit modules loaded, WATCHED modules loaded) after running code
+    in a new interpreter."""
     result = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n{_REPORT}"],
         capture_output=True,
         text=True,
         check=True,
     )
-    modules, numpy = json.loads(result.stdout.splitlines()[-1])
-    return set(modules), numpy
+    modules, watched = json.loads(result.stdout.splitlines()[-1])
+    return set(modules), set(watched)
 
 
-def _after_command(*argv: str) -> tuple[set[str], bool]:
+def _after_command(*argv: str) -> tuple[set[str], set[str]]:
     return _loaded(f"from euclidkit import cli\ncli.main({list(argv)!r})")
 
 
@@ -133,17 +141,32 @@ CLI_BASE = {"euclidkit", "euclidkit.cli", "euclidkit.errors"}
 
 
 def test_importing_the_package_loads_no_module():
-    assert _loaded("import euclidkit") == ({"euclidkit"}, False)
+    assert _loaded("import euclidkit") == ({"euclidkit"}, set())
 
 
 def test_gcd_loads_only_the_euclid_layer():
-    assert _after_command("gcd", "240", "46") == (CLI_BASE | {"euclidkit.euclid"}, False)
+    assert _after_command("gcd", "240", "46") == (CLI_BASE | {"euclidkit.euclid"}, set())
 
 
 def test_dedekind_loads_only_the_dedekind_layer():
-    assert _after_command("dedekind", "5", "7") == (CLI_BASE | {"euclidkit.dedekind"}, False)
+    assert _after_command("dedekind", "5", "7") == (CLI_BASE | {"euclidkit.dedekind"}, set())
 
 
 def test_only_the_perfect_scan_loads_numpy():
-    assert _after_command("perfect", "7")[1] is False
-    assert _after_command("perfect", "--scan", "100")[1] is True
+    assert "numpy" not in _after_command("perfect", "7")[1]
+    assert "numpy" in _after_command("perfect", "--scan", "100")[1]
+
+
+def test_no_readme_command_imports_dataclasses_or_inspect():
+    # the README lines run every COMMANDS entry (test_cli checks that they do)
+    for argv in _readme_command_lines():
+        expected = {"inspect", "numpy"} if argv[1:3] == ["perfect", "--scan"] else set()
+        assert _after_command(*argv[1:])[1] == expected, argv
+
+
+def test_no_source_module_imports_dataclasses():
+    for path in sorted(Path(euclidkit.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
