@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cf_dynamics": "ContinuedFraction DynamicsRun QuotientSumStat UnimodularMatrix"
     " average_cf_length cf_expand cf_value dynamical_run yao_knuth_stat",
-    "dedekind": "dedekind_sum reciprocity_residual sawtooth",
+    "dedekind": "dedekind_sum reciprocity_residual reciprocity_scan sawtooth",
     "errors": "CertificateMismatchError DomainError HypothesisFailedError"
     " ResourceLimitError rational_str",
     "euclid": "BezoutCertificate EuclidStep EuclidTrace division_from_bezout gcd_many"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import gcd
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -213,16 +212,10 @@ def _cmd_reciprocity_scan(args, report: Report) -> None:
     if args.limit is None:
         raise UsageError("reciprocity-scan needs --limit")
     _at_least(args.limit, "limit", 0, "reciprocity-scan")
-    pairs = 0
-    for k in range(1, args.limit + 1):
-        for h in range(1, k):
-            if gcd(h, k) != 1:
-                continue
-            pairs += 1
-            residual = dedekind.reciprocity_residual(h, k)
-            if residual != 0:
-                report.violations.append(f"nonzero residual at h={h} k={k}: {_field(residual)}")
-    report.summary.update(pairs_checked=pairs, nonzero_residuals=len(report.violations))
+    pairs, nonzero = dedekind.reciprocity_scan(args.limit, scan_budget=args.budget)
+    for h, k, residual in nonzero:
+        report.violations.append(f"nonzero residual at h={h} k={k}: {_field(residual)}")
+    report.summary.update(pairs_checked=pairs, nonzero_residuals=len(nonzero))
 
 
 def _cmd_perfect(args, report: Report) -> None:
@@ -345,7 +338,7 @@ COMMANDS = (
     Command("stats yao-knuth", "a --budget", _cmd_yao_knuth),
     Command("dynamics", "x y --trace --budget", _cmd_dynamics),
     Command("dedekind", "h k", _cmd_dedekind),
-    Command("reciprocity-scan", "--limit", _cmd_reciprocity_scan),
+    Command("reciprocity-scan", "--limit --budget", _cmd_reciprocity_scan),
     Command("perfect", "p? --scan --budget", _cmd_perfect),
     Command("euclid-extend", "primes* --budget", _cmd_euclid_extend),
     Command("wseq", "values+", _cmd_wseq),

@@ -1,12 +1,15 @@
 """Dedekind sums in exact rational arithmetic, and the reciprocity identity
-as a residual that must vanish."""
+as a residual that must vanish, for one pair or for every coprime pair up to
+a limit."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .errors import DomainError, _at_least, _integer, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+
+DEFAULT_SCAN_LIMIT = 1000  # reciprocity_scan's largest modulus by default: about 10 s
 
 
 def sawtooth(x) -> Fraction:
@@ -47,9 +50,7 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
     """s(h,k) + s(k,h) - ((h^2 + k^2 + 1)/(12hk) - 1/4); zero for coprime h, k.
 
     Both sums are taken term by term, not by reciprocity, and the residual
-    is one fraction over 12*h*h*k*k: with T1 = 4k^2 s(h,k) and
-    T2 = 4h^2 s(k,h), its numerator is
-    3h^2 T1 + 3k^2 T2 - hk(h^2 + k^2 + 1) + 3h^2 k^2.
+    is one fraction over 12*h*h*k*k (see _residual_numerator).
     """
     _integer(h, "h")
     _integer(k, "k")
@@ -59,6 +60,73 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
         raise DomainError(
             f"reciprocity_residual needs coprime h, k, got ({_shown(h)}, {_shown(k)})"
         )
+    return Fraction(_residual_numerator(h, k, _terms(h, k), _terms(k, h)), 12 * h * h * k * k)
+
+
+def _residual_numerator(h: int, k: int, t1: int, t2: int) -> int:
+    """The reciprocity residual of coprime h, k times 12*h*h*k*k, from
+    T1 = 4k^2 s(h,k) and T2 = 4h^2 s(k,h):
+    3h^2 T1 + 3k^2 T2 - hk(h^2 + k^2 + 1) + 3h^2 k^2."""
     hh, kk = h * h, k * k
-    numerator = 3 * hh * _terms(h, k) + 3 * kk * _terms(k, h) - h * k * (hh + kk + 1) + 3 * hh * kk
-    return Fraction(numerator, 12 * hh * kk)
+    return 3 * hh * t1 + 3 * kk * t2 - h * k * (hh + kk + 1) + 3 * hh * kk
+
+
+def _row(k: int) -> list[int | None]:
+    """T(h, k) = 4*k*k * s(h, k) at index h for h = 0..k-1, None where
+    gcd(h, k) > 1 (T(0, 1) = 0: the empty sum).
+
+    Straight from the definition, as _terms sums it, with a*h mod k stepped
+    by addition, folded by two properties of the sawtooth: it is odd, so
+    a and k - a give the same term and the sum over a < k/2 is doubled; and
+    h and k - h give opposite terms, so T(k - h, k) = -T(h, k).
+    """
+    row: list[int | None] = [None] * k
+    if k == 1:
+        row[0] = 0
+    half = (k - 1) // 2
+    for h in range(1, k // 2 + 1):
+        if _gcd(h, k) != 1:
+            continue
+        total = 0
+        ah = 0
+        for a in range(1, half + 1):
+            ah += h
+            if ah >= k:
+                ah -= k
+            total += (2 * a - k) * (2 * ah - k)
+        row[h] = 2 * total
+        row[k - h] = -2 * total
+    return row
+
+
+def reciprocity_scan(
+    limit: int, *, scan_budget: int | None = None
+) -> tuple[int, list[tuple[int, int, Fraction]]]:
+    """Check reciprocity on every coprime pair 1 <= h < k <= limit.
+
+    Returns (pairs_checked, [(h, k, residual), ...]) with the nonzero
+    residuals, k ascending, then h. One _row per modulus gives T(h, k);
+    T(k, h) is read off the row of modulus h as T(k mod h, h), since the
+    sawtooth has period 1. Every sum is definitional, so a wrong term shows
+    as a nonzero residual. A limit above scan_budget (default
+    DEFAULT_SCAN_LIMIT) is refused before any row is built.
+    """
+    _at_least(limit, "limit", 0, "reciprocity_scan")
+    budget = DEFAULT_SCAN_LIMIT if scan_budget is None else scan_budget
+    if limit > budget:
+        raise ResourceLimitError(f"reciprocity_scan({_shown(limit)}): limit is {budget}")
+    rows: list[list[int | None]] = [[]]  # rows[k] is _row(k)
+    pairs = 0
+    nonzero = []
+    for k in range(1, limit + 1):
+        row = _row(k)
+        rows.append(row)
+        for h in range(1, k):
+            t1 = row[h]
+            if t1 is None:
+                continue
+            pairs += 1
+            numerator = _residual_numerator(h, k, t1, rows[h][k % h])
+            if numerator:
+                nonzero.append((h, k, Fraction(numerator, 12 * h * h * k * k)))
+    return pairs, nonzero

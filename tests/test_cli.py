@@ -1,5 +1,6 @@
 """Golden transcripts, exit codes, and format agreement for the command line."""
 
+import hashlib
 import os
 import shlex
 import subprocess
@@ -477,6 +478,20 @@ def test_reciprocity_scan_report_golden():
     assert result.stdout == RECIPROCITY_SCAN_REPORT_GOLDEN
 
 
+# sha256 of `reciprocity-scan --limit 150` output in each format, the README size
+RECIPROCITY_SCAN_150_SHA256 = {
+    "text": "94fc844317e2929492e157d7e762aec5fec7f3673ef59e691b5b82fd7110c36d",
+    "report": "3cff5f2ee1da110439d1dde7cf4b1959795dd3671bba31b7b5cde50efc1e8bb2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_reciprocity_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
+    code, out, err = run_main(capsys, "reciprocity-scan", "--limit", "150", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RECIPROCITY_SCAN_150_SHA256[fmt]
+
+
 def test_interval_equiv_scan():
     result = run_cli("interval-equiv", "--scan", "50", "--format", "report")
     assert result.returncode == 0
@@ -735,6 +750,17 @@ ERROR_GOLDENS = [
             "violation: reciprocity-scan needs limit >= 0, got -3\n",
         },
         id="reciprocity-scan-negative-limit",
+    ),
+    pytest.param(
+        ["reciprocity-scan", "--limit", "50", "--budget", "49"],
+        3,
+        {
+            "text": "reciprocity-scan  budget=49 format=text limit=50\n"
+            "VIOLATION: reciprocity_scan(50): limit is 49\n",
+            "report": "command: reciprocity-scan\nparam budget: 49\nparam format: report\n"
+            "param limit: 50\nviolation: reciprocity_scan(50): limit is 49\n",
+        },
+        id="reciprocity-scan-budget",
     ),
     pytest.param(
         ["gcd", "240", "46", "--budget", "1"],

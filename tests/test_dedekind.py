@@ -1,5 +1,8 @@
 """Sawtooth values, Dedekind sums, and exact reciprocity."""
 
+import ast
+import inspect
+import textwrap
 from fractions import Fraction
 from math import gcd as builtin_gcd
 
@@ -7,7 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from euclidkit import DomainError, dedekind_sum, reciprocity_residual, sawtooth
+from euclidkit import (
+    DomainError,
+    ResourceLimitError,
+    cf_expand,
+    cli,
+    dedekind,
+    dedekind_sum,
+    reciprocity_residual,
+    reciprocity_scan,
+    sawtooth,
+)
 from oracles import dedekind_by_terms, sawtooth_by_fraction
 
 # ---------------------------------------------------------------------------
@@ -114,3 +127,114 @@ def test_reciprocity_residual_domain():
         reciprocity_residual(0, 3)
     with pytest.raises(DomainError):
         reciprocity_residual(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the reciprocity scan
+
+
+def test_reciprocity_scan_matches_reciprocity_residual_for_every_limit_to_60():
+    per_pair = [
+        (h, k, reciprocity_residual(h, k))
+        for k in range(1, 61)
+        for h in range(1, k)
+        if builtin_gcd(h, k) == 1
+    ]
+    for limit in range(61):
+        upto = [(h, k, r) for h, k, r in per_pair if k <= limit]
+        assert reciprocity_scan(limit) == (len(upto), [(h, k, r) for h, k, r in upto if r])
+
+
+def test_row_matches_the_term_by_term_oracle_below_60():
+    for k in range(1, 60):
+        row = dedekind._row(k)
+        assert len(row) == k
+        for h in range(k):
+            if builtin_gcd(h, k) == 1:
+                assert row[h] == 4 * k * k * dedekind_by_terms(h, k), (h, k)
+            else:
+                assert row[h] is None, (h, k)
+
+
+def test_a_planted_wrong_term_shows_as_a_nonzero_residual(monkeypatch, capsys):
+    row = dedekind._row
+
+    def planted(k):  # T(7, 31) one too large
+        entries = row(k)
+        if k == 31:
+            entries[7] += 1
+        return entries
+
+    monkeypatch.setattr(dedekind, "_row", planted)
+    # T(7, 31) is T1 of (7, 31) and, by periodicity, T2 of (31, 38)
+    one_term = Fraction(1, 4 * 31 * 31)
+    assert reciprocity_scan(40) == (489, [(7, 31, one_term), (31, 38, one_term)])
+    assert cli.main(["reciprocity-scan", "--limit", "40", "--format", "report"]) == 1
+    assert capsys.readouterr() == (
+        "command: reciprocity-scan\nparam format: report\nparam limit: 40\n"
+        "summary pairs_checked: 489\nsummary nonzero_residuals: 2\n"
+        "violation: nonzero residual at h=7 k=31: 1/3844\n"
+        "violation: nonzero residual at h=31 k=38: 1/3844\n",
+        "",
+    )
+
+
+def test_reciprocity_scan_refuses_a_limit_above_its_budget_before_any_row(monkeypatch):
+    monkeypatch.setattr(dedekind, "_row", None)  # any row built would fail
+    with pytest.raises(ResourceLimitError, match=r"^reciprocity_scan\(50\): limit is 49$"):
+        reciprocity_scan(50, scan_budget=49)
+    with pytest.raises(ResourceLimitError, match=r"^reciprocity_scan\(1001\): limit is 1000$"):
+        reciprocity_scan(1001)
+
+
+def _euclid_in(*roots):
+    """Read each root and every package function it calls by name, in turn.
+
+    Returns the names of the functions read and, as (function, line, name),
+    every name in them that is `_quotient_runs` or resolves to the euclid
+    module or to anything defined there.
+    """
+    read, found, todo = [], [], list(roots)
+    while todo:
+        fn = todo.pop()
+        if fn.__qualname__ in read:
+            continue
+        read.append(fn.__qualname__)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            value = fn.__globals__.get(name)
+            module = getattr(value, "__name__", None) if inspect.ismodule(value) else None
+            if (
+                name == "_quotient_runs"
+                or module == "euclidkit.euclid"
+                or getattr(value, "__module__", None) == "euclidkit.euclid"
+            ):
+                found.append((fn.__qualname__, node.lineno, name))
+            if inspect.isfunction(value) and value.__module__.startswith("euclidkit"):
+                todo.append(value)
+    return set(read), found
+
+
+def test_the_reciprocity_checks_reach_no_euclid_chain():
+    read, found = _euclid_in(reciprocity_scan, dedekind._row, reciprocity_residual)
+    assert read == {
+        "reciprocity_scan",
+        "_row",
+        "reciprocity_residual",
+        "_residual_numerator",
+        "_terms",
+        "_at_least",
+        "_integer",
+        "_shown",
+    }
+    assert found == []
+
+
+def test_euclid_checker_flags_the_euclid_chain():
+    _, found = _euclid_in(cf_expand)
+    assert {(fn, name) for fn, _, name in found} >= {
+        ("cf_expand", "gcd_remainder"),
+        ("gcd_remainder", "_quotient_runs"),
+    }

@@ -21,6 +21,7 @@ from euclidkit import (
     primes_up_to,
     rational_str,
     reciprocity_residual,
+    reciprocity_scan,
     sigma,
     smallest_prime_factor,
     w_witness,
@@ -244,6 +245,7 @@ def test_rational_str_frozen_values():
         (reciprocity_residual, (2.5, 1)),
         (dedekind_sum, (True, 5)),
         (reciprocity_residual, (True, 2)),
+        (reciprocity_scan, (True,)),
         (primes_up_to, (True,)),
         (factorize, (True,)),
     ],
@@ -264,6 +266,7 @@ def test_bool_and_float_arguments_are_domain_errors(op, args):
         (perfect_scan, (10**5000,), {}, ResourceLimitError),
         (dedekind_sum, (1, -(10**5000)), {}, DomainError),
         (reciprocity_residual, (10**5000, 10**5000), {}, DomainError),
+        (reciprocity_scan, (10**5000,), {}, ResourceLimitError),
         (w_witness, ([-(10**5000), 1],), {}, DomainError),
     ],
 )
@@ -281,3 +284,5 @@ def test_negative_arguments_name_the_least_value():
         sigma(-1)
     with pytest.raises(DomainError, match=r"^lucas_lehmer needs a prime exponent, got -3$"):
         lucas_lehmer(-3)
+    with pytest.raises(DomainError, match=r"^reciprocity_scan needs limit >= 0, got -1$"):
+        reciprocity_scan(-1)

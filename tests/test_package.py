@@ -61,6 +61,7 @@ PUBLIC_NAMES = [
     "primes_up_to",
     "rational_str",
     "reciprocity_residual",
+    "reciprocity_scan",
     "sawtooth",
     "sigma",
     "smallest_prime_factor",
