@@ -254,9 +254,9 @@ def _cmd_interval_equiv(args, report: Report) -> None:
     if (args.m is None) == (args.scan is None):
         raise UsageError("interval-equiv needs m or --scan, not both")
     if args.scan is not None:
-        verdicts = sequences.interval_equivalence_scan(args.scan)
+        verdicts = sequences.interval_equivalence_scan(args.scan, sieve_budget=args.budget)
     else:
-        prime_exists, is_w = sequences.prime_interval_equivalence(args.m)
+        prime_exists, is_w = sequences.prime_interval_equivalence(args.m, sieve_budget=args.budget)
         report.summary.update(prime_exists=prime_exists, is_w=is_w, equal=prime_exists == is_w)
         verdicts = [(args.m, prime_exists, is_w)]
     for m, prime_exists, is_w in verdicts:
@@ -342,7 +342,7 @@ COMMANDS = (
     Command("perfect", "p? --scan --budget", _cmd_perfect),
     Command("euclid-extend", "primes* --budget", _cmd_euclid_extend),
     Command("wseq", "values+", _cmd_wseq),
-    Command("interval-equiv", "m? --scan", _cmd_interval_equiv),
+    Command("interval-equiv", "m? --scan --budget", _cmd_interval_equiv),
     Command("grimm", "m? n? --scan --budget", _cmd_grimm),
     Command("nonw", "m --max", _cmd_nonw),
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, count, islice, repeat
-from math import ceil, gcd, log, prod
+from math import ceil, gcd, isqrt, log, perm, prod
 from operator import lt
 from typing import NamedTuple
 
@@ -19,7 +19,9 @@ from .integers import (
     smallest_prime_factor,
 )
 
-_BLOCK = 32  # values per block product in w_witness
+_BLOCK = 32  # values per block product in _witness_index
+_SEGMENT = 1 << 18  # most values one sieve call covers in interval_equivalence_scan
+DEFAULT_INTERVAL_LIMIT = 10**4  # interval_equivalence_scan's largest m by default
 
 
 class WReport(NamedTuple):
@@ -69,31 +71,48 @@ def _shares_factor(v: int, others) -> bool:
     return any(map((1).__lt__, map(gcd, repeat(v), others)))
 
 
-def w_witness(seq) -> WReport:
-    """Find the least element coprime to every other element.
+def _witness_index(values) -> int | None:
+    """1-based index of the least element of values, a non-empty, strictly
+    increasing sequence of naturals, coprime to every other element, if any.
 
     v is coprime to each of u1, ..., uk exactly when it is coprime to their
     product. So the values are cut into fixed blocks of _BLOCK, and each
     candidate is tested pairwise within its own block and then against the
-    product of every other block: multiplication and gcd only.
+    product of every other block: multiplication and gcd only. A block of a
+    step-1 range is consecutive integers, whose product math.perm takes
+    without building them.
     """
-    values = _increasing_naturals(seq)
     blocks = [values[s : s + _BLOCK] for s in range(0, len(values), _BLOCK)]
-    products = list(map(prod, blocks))
+    if isinstance(values, range) and values.step == 1:
+        products = [perm(block[-1], len(block)) for block in blocks]
+    else:
+        products = list(map(prod, blocks))
     for k, block in enumerate(blocks):
         others = products[:k] + products[k + 1 :]
         for i, v in enumerate(block):
             if not _shares_factor(v, chain(block[:i], block[i + 1 :], others)):
-                return WReport(values, k * _BLOCK + i + 1)
-    return WReport(values, None)
+                return k * _BLOCK + i + 1
+    return None
 
 
-def _interval_sides(m: int, base_primes: list[int]) -> tuple[bool, bool]:
-    """Both sides for the window m^2+1..m^2+2m, from base primes up to m."""
-    lo, hi = m * m + 1, m * m + 2 * m
-    prime_exists = 1 in _window_flags(lo, hi, base_primes)
-    is_w = w_witness(range(lo, hi + 1)).witness_index is not None
-    return prime_exists, is_w
+def w_witness(seq) -> WReport:
+    """Find the least element coprime to every other element (see _witness_index)."""
+    values = _increasing_naturals(seq)
+    return WReport(values, _witness_index(values))
+
+
+def _interval_sides(first: int, last: int, base_primes: list[int]) -> list[tuple[int, bool, bool]]:
+    """(m, prime side, witness side) for each window m^2+1..m^2+2m,
+    m = first..last, with last <= first^2 and base primes up to last: one
+    sieve of first^2+1 .. (last+1)^2-1 gives every window's primes."""
+    lo = first * first + 1
+    flags = _window_flags(lo, (last + 1) ** 2 - 1, base_primes)
+    sides = []
+    for m in range(first, last + 1):
+        start = m * m + 1
+        prime_exists = flags.find(1, start - lo, start - lo + 2 * m) >= 0
+        sides.append((m, prime_exists, _witness_index(range(start, start + 2 * m)) is not None))
+    return sides
 
 
 def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tuple[bool, bool]:
@@ -105,17 +124,30 @@ def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tu
     """
     _at_least(m, "m", 1, "prime_interval_equivalence")
     # isqrt((m+1)^2 - 1) == m bounds the window's base primes
-    return _interval_sides(m, primes_up_to(m, sieve_budget=sieve_budget))
+    _, prime_exists, is_w = _interval_sides(m, m, primes_up_to(m, sieve_budget=sieve_budget))[0]
+    return prime_exists, is_w
 
 
 def interval_equivalence_scan(
     limit: int, *, sieve_budget: int | None = None
 ) -> list[tuple[int, bool, bool]]:
-    """(m, *prime_interval_equivalence(m)) for m = 1..limit, with the base
-    primes up to limit sieved once for every window."""
+    """(m, *prime_interval_equivalence(m)) for m = 1..limit: base primes up to
+    limit sieved once, one sieve call per group of windows (at most _SEGMENT
+    values). A limit above sieve_budget (default DEFAULT_INTERVAL_LIMIT) is
+    refused before anything is allocated."""
     _at_least(limit, "limit", 0, "interval_equivalence_scan")
-    base_primes = primes_up_to(limit, sieve_budget=sieve_budget)
-    return [(m, *_interval_sides(m, base_primes)) for m in range(1, limit + 1)]
+    budget = DEFAULT_INTERVAL_LIMIT if sieve_budget is None else sieve_budget
+    if limit > budget:
+        raise ResourceLimitError(f"interval_equivalence_scan({_shown(limit)}): limit is {budget}")
+    base_primes = primes_up_to(limit, sieve_budget=budget)
+    verdicts = []
+    first = 1
+    while first <= limit:
+        # the sieve's base primes stay below its window while last <= first^2
+        last = max(first, min(limit, first * first, isqrt(first * first + _SEGMENT + 1) - 1))
+        verdicts += _interval_sides(first, last, base_primes)
+        first = last + 1
+    return verdicts
 
 
 def _match(divisors: list[list[int]]) -> tuple[tuple[int, ...] | None, list[int]]:

@@ -499,6 +499,40 @@ def test_interval_equiv_scan():
     assert "summary mismatches: 0" in result.stdout
 
 
+# sha256 of `interval-equiv --scan 2000` output in each format, the README size
+INTERVAL_SCAN_2000_SHA256 = {
+    "text": "b3cbb1e361469a6aca34eb495719821db30cf85ea4286bf76d56c7e06a749a0f",
+    "report": "d76bc87b6a6dff8542c368cc5f7bc2c8980e2ccba87e259e592d8aa17a77e1eb",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_interval_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
+    code, out, err = run_main(capsys, "interval-equiv", "--scan", "2000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == INTERVAL_SCAN_2000_SHA256[fmt]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_a_single_large_window_keeps_a_small_peak():
+    # the witness side takes the window's block products on its range; a
+    # tuple of its 2 * 10**6 values took the process to about 128 MiB.
+    # VmHWM is the peak of this process image alone: ru_maxrss would carry
+    # the parent's peak across the exec
+    child = (
+        "import re, sys\n"
+        "from euclidkit.cli import main\n"
+        "code = main(['interval-equiv', '1000000'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'VmHWM:\\s+(\\d+) kB', status)[1], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.endswith("prime_exists = true\nis_w = true\nequal = true\n")
+    assert int(result.stderr) <= 60 * 1024  # KiB
+
+
 def test_stats_yao_knuth_integer_lines():
     result = run_cli("stats", "yao-knuth", "1000", "--format", "report")
     assert result.returncode == 0
@@ -595,8 +629,10 @@ def test_dynamics_trace_flags_a_run_the_step_matrices_do_not_replay(capsys, monk
 )
 def test_interval_equiv_flags_a_mismatch(capsys, monkeypatch, argv, tail):
     verdicts = [(1, True, True), (2, True, False)]
-    monkeypatch.setattr(sequences, "interval_equivalence_scan", lambda n: verdicts)
-    monkeypatch.setattr(sequences, "prime_interval_equivalence", lambda m: (True, False))
+    monkeypatch.setattr(sequences, "interval_equivalence_scan", lambda n, sieve_budget: verdicts)
+    monkeypatch.setattr(
+        sequences, "prime_interval_equivalence", lambda m, sieve_budget: (True, False)
+    )
     code, out, _ = run_main(capsys, *argv)
     assert code == 1
     assert out.endswith(tail + "VIOLATION: m=2: prime_exists=true is_w=false\n")
@@ -830,6 +866,17 @@ ERROR_GOLDENS = [
             "violation: primes_up_to(10000001): sieve limit is 10000000\n",
         },
         id="nonw-sieve-limit",
+    ),
+    pytest.param(
+        ["interval-equiv", "--scan", "51", "--budget", "50"],
+        3,
+        {
+            "text": "interval-equiv  budget=50 format=text scan=51\n"
+            "VIOLATION: interval_equivalence_scan(51): limit is 50\n",
+            "report": "command: interval-equiv\nparam budget: 50\nparam format: report\n"
+            "param scan: 51\nviolation: interval_equivalence_scan(51): limit is 50\n",
+        },
+        id="interval-equiv-scan-budget",
     ),
 ]
 

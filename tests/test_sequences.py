@@ -29,7 +29,7 @@ from euclidkit import (
 )
 from euclidkit import sequences
 from euclidkit.integers import DEFAULT_SIEVE_LIMIT, _window_flags, smallest_prime_factor
-from euclidkit.sequences import _confirmed_match, _interval_sides, _match
+from euclidkit.sequences import _confirmed_match, _interval_sides, _match, _witness_index
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -104,6 +104,17 @@ def test_w_witness_at_block_edges(length, index):
     assert w_witness([2 * v for v in range(1, length + 1)]).witness_index is None
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    start=st.integers(1, 10**6),
+    length=st.one_of(st.sampled_from([31, 32, 33, 64, 65]), st.integers(1, 200)),
+)
+def test_witness_index_on_a_range_matches_the_same_values_as_a_tuple(start, length):
+    # a range's block products come from math.perm, a tuple's from math.prod
+    window = range(start, start + length)
+    assert _witness_index(window) == _witness_index(tuple(window))
+
+
 def test_w_witness_sees_a_factor_shared_across_blocks():
     # 101 and 103 share a factor only with their product, 49 places on
     values = [p for p in range(101, 400) if is_prime_trial(p)][:49] + [101 * 103]
@@ -157,12 +168,43 @@ def test_interval_scan_matches_the_single_window_calls_up_to_300():
         assert w_witness(window).witness_index == witness_by_pairwise_gcd(list(window))
 
 
+def test_interval_scan_groups_match_the_single_window_calls(monkeypatch):
+    groups = []
+
+    def recording_sides(first, last, base_primes):
+        groups.append((first, last))
+        return _interval_sides(first, last, base_primes)
+
+    monkeypatch.setattr(sequences, "_SEGMENT", 1000)
+    monkeypatch.setattr(sequences, "_interval_sides", recording_sides)
+    scan = interval_equivalence_scan(300)
+    monkeypatch.undo()
+    assert scan == [(m, *prime_interval_equivalence(m)) for m in range(1, 301)]
+    assert [first for first, _ in groups] == [1] + [last + 1 for _, last in groups[:-1]]
+    assert groups[-1][1] == 300
+    for first, last in groups:
+        assert last <= first * first  # the sieve's base primes lie below its window
+        assert first == last or (last + 1) ** 2 - first * first - 1 <= 1000
+    assert len(groups) > 50 and any(first < last for first, last in groups[3:])
+
+
 def test_interval_scan_sieves_its_base_primes_within_the_budget():
     assert len(interval_equivalence_scan(50, sieve_budget=50)) == 50
     with pytest.raises(ResourceLimitError):
         interval_equivalence_scan(50, sieve_budget=49)
     with pytest.raises(ResourceLimitError):
         prime_interval_equivalence(50, sieve_budget=49)
+
+
+def test_interval_scan_refuses_a_limit_past_its_default_budget(monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the limit is refused before any sieve")
+
+    monkeypatch.setattr(sequences, "primes_up_to", no_sieve)
+    with pytest.raises(ResourceLimitError, match=r"\(10001\): limit is 10000$"):
+        interval_equivalence_scan(sequences.DEFAULT_INTERVAL_LIMIT + 1)
+    with pytest.raises(ResourceLimitError):
+        interval_equivalence_scan(10**7)
 
 
 def _names_reached(*roots):
@@ -204,6 +246,7 @@ def test_witness_side_tests_no_primality():
     read, names = _names_reached(w_witness)
     assert read == {
         "w_witness",
+        "_witness_index",
         "_increasing_naturals",
         "_at_least",
         "_integer",
@@ -221,10 +264,11 @@ def test_prime_side_takes_no_gcd():
 
 
 def test_interval_sides_reach_both_scans():
-    read, names = _names_reached(_interval_sides)
-    assert {"w_witness", "_window_flags"} <= read
-    assert {"gcd", "_window_flags"} <= names
-    assert "non_w_max_run" not in names
+    for root in (_interval_sides, interval_equivalence_scan):
+        read, names = _names_reached(root)
+        assert {"_witness_index", "_window_flags"} <= read
+        assert {"gcd", "_window_flags"} <= names
+        assert "non_w_max_run" not in names
 
 
 @pytest.mark.parametrize(
