@@ -16,12 +16,11 @@ from .errors import (
     _integer,
     _shown,
 )
-from .euclid import gcd_subtractive
 from .integers import (
     DEFAULT_FACTOR_BUDGET, DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
 )
 
-_SEGMENT = 2**18  # values per segment of the divisor-sum sieve
+_SEGMENT = 2**18  # odd values per segment of the divisor-sum sieve
 
 
 class LemmaWitness(Enum):
@@ -63,7 +62,9 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
             "coprime_by_prop1 needs distinct inputs unless both are 1,"
             f" got ({_shown(a)}, {_shown(b)})"
         )
-    g, _ = gcd_subtractive(a, b, step_budget=step_budget)
+    from . import euclid  # only this proposition walks a subtraction chain
+
+    g, _ = euclid.gcd_subtractive(a, b, step_budget=step_budget)
     return g == 1
 
 
@@ -152,60 +153,93 @@ def classify_perfect(n: int, *, step_budget: int | None = None) -> int | None:
 
 
 def _sigma_segments(limit: int):
-    """(n, sig) per segment of _SEGMENT values covering 1..limit, sig[i]
-    being the divisor sum of n[i]. Each divisor pair d <= c of d*c adds
-    d + c; in a segment the multiples d*c, c = c0, c0 + 1, ..., are one
-    strided view, which adds d + c0, d + c0 + 1, ... in one call from a
-    shared ramp of base + x, base = 2*isqrt(lo). By AM-GM d + c0 >= base,
-    so the run starts at offset d + c0 - base; where it would pass the
-    ramp's end (small d in late segments) the view adds a prefix of the
-    ramp, then a constant. Sums are int32 while 6*limit < 2**31: sigma(n) <
-    6n for every n below 1.3 * 10**14 (OEIS A023199). numpy is imported
-    here rather than with the module, so that only the scan pays for
-    loading it."""
+    """(m, sig) per segment of _SEGMENT odd values covering the odd m <=
+    limit, m[j] = m[0] + 2j and sig[j] the divisor sum of m[j]. Every divisor
+    of an odd m is odd, so each divisor pair d <= c of d*c, both odd, adds
+    d + c; in a segment the multiples d*c, c = c0, c0 + 2, ..., lie d indices
+    apart, one strided view, which adds d + c0, d + c0 + 2, ... in one call
+    from a shared ramp of base + 2x, base = 2*isqrt(lo). By AM-GM d + c0 >=
+    base, and both are even, so the run starts at offset (d + c0 - base) / 2;
+    where it would pass the ramp's end (small d in late segments) the view
+    adds a prefix of the ramp, then a constant. Both arrays are reused from
+    segment to segment (the ramp is re-based to m before it is yielded), so a
+    consumer reads them before it asks for the next. Sums are int32 while
+    6*limit < 2**31: sigma(n) < 6n for every n below 1.3 * 10**14 (OEIS
+    A023199). numpy is imported here rather than with the module, so that only
+    the scan pays for loading it."""
     import numpy as np
 
     dtype = np.int32 if 6 * limit < 2**31 else np.int64
     size = _SEGMENT
     base = 0
-    ramp = np.arange(size, dtype=dtype)  # ramp[x] == base + x
-    for lo in range(1, limit + 1, size):
-        hi = min(lo + size, limit + 1)  # the segment is lo .. hi - 1
+    ramp = np.arange(0, 2 * size, 2, dtype=dtype)  # ramp[x] == base + 2x
+    sums = np.empty(size, dtype=dtype)
+    odd = (limit + 1) // 2  # the odd values 1, 3, ..., up to limit
+    for first in range(0, odd, size):
+        count = min(size, odd - first)
+        lo = 2 * first + 1  # the segment is lo, lo + 2, ..., lo + 2*(count - 1)
         shift = 2 * isqrt(lo) - base
         ramp += shift
         base += shift
-        sig = np.zeros(hi - lo, dtype=dtype)
-        for d in range(1, isqrt(hi - 1) + 1):
-            c0 = max(d, -(-lo // d))  # least cofactor in the segment
-            view = sig[d * c0 - lo :: d]
-            off = d + c0 - base
+        sig = sums[:count]
+        sig.fill(0)
+        for d in range(1, isqrt(lo + 2 * (count - 1)) + 1, 2):
+            c0 = max(d, -(-lo // d)) | 1  # least odd cofactor in the segment
+            view = sig[(d * c0 - lo) // 2 :: d]
+            off = (d + c0 - base) // 2
             end = off + len(view)
             if end <= size:
                 view += ramp[off:end]
             else:
                 view += ramp[: len(view)]
-                view += off
+                view += d + c0 - base
             if c0 == d:
-                sig[d * d - lo] -= d  # square: d counted twice
-        yield ramp[: hi - lo] + (lo - base), sig
+                sig[(d * d - lo) // 2] -= d  # square: d counted twice
+        ramp += lo - base
+        base = lo
+        yield ramp[:count], sig
 
 
 def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[int, int]]:
-    """All (n, p) with n <= limit perfect, by a segmented divisor-sum sieve.
+    """All (n, p) with n <= limit perfect, ascending, by a segmented
+    divisor-sum sieve over odd values.
 
-    Every sieve hit is re-validated with classify_perfect, which recomputes
-    sigma by trial division, so the fast path cannot smuggle in a wrong hit.
+    Each n is 2**k * m with m odd, and its divisors are the 2**i * e with
+    i <= k and e | m, so sigma(n) = (2**(k+1) - 1) * sigma(m) (Euclid
+    IX.35-36). Every n <= limit is decided on the segment of its odd part by
+    the excess sigma(n) - 2n, which is sigma(m) - 2m at k = 0 and doubles and
+    gains sigma(m) from k to k + 1, in one array reused across segments.
+    Every hit is re-validated with classify_perfect, which recomputes sigma
+    by trial division, so the fast path cannot smuggle in a wrong hit.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 1, "perfect_scan")
     budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
     if limit > budget:
         raise ResourceLimitError(f"perfect_scan({_shown(limit)}): sieve limit is {budget}")
-    out: list[tuple[int, int]] = []
+    import numpy as np
+
+    hits: list[int] = []
+    excess = None
     for values, sig in _sigma_segments(limit):
-        for n in values[sig == 2 * values].tolist():
-            p = classify_perfect(n)
-            if p is None:
-                raise RuntimeError(f"sieve and classifier disagree at n = {n}")
-            out.append((n, p))
+        lo, count = int(values[0]), len(sig)
+        if excess is None:
+            excess = np.empty_like(sig)  # the first segment is the longest
+        ex = excess[:count]
+        np.subtract(sig, values, out=ex)
+        ex -= values  # sigma(m) - 2m, the excess at k = 0
+        k = 0
+        while count:
+            if not ex[:count].all():  # hits are rare: index only when one is there
+                hits += [(lo + 2 * j) << k for j in np.flatnonzero(ex[:count] == 0).tolist()]
+            k += 1
+            count = min(count, max(0, ((limit >> k) - lo) // 2 + 1))  # 2**k * m <= limit
+            ex[:count] *= 2
+            ex[:count] += sig[:count]
+    out: list[tuple[int, int]] = []
+    for n in sorted(hits):
+        p = classify_perfect(n)
+        if p is None:
+            raise RuntimeError(f"sieve and classifier disagree at n = {n}")
+        out.append((n, p))
     return out

@@ -153,6 +153,13 @@ def test_dedekind_loads_only_the_dedekind_layer():
     assert _after_command("dedekind", "5", "7") == (CLI_BASE | {"euclidkit.dedekind"}, set())
 
 
+def test_perfect_and_euclid_extend_load_only_the_propositions_layer():
+    # coprime_by_prop1, the one proposition on the Euclid layer, imports it itself
+    for argv in (["perfect", "7"], ["perfect", "--scan", "100"], ["euclid-extend", "2", "3"]):
+        loaded = _after_command(*argv)[0]
+        assert loaded == CLI_BASE | {"euclidkit.propositions", "euclidkit.integers"}, argv
+
+
 def test_only_the_perfect_scan_loads_numpy():
     assert "numpy" not in _after_command("perfect", "7")[1]
     assert "numpy" in _after_command("perfect", "--scan", "100")[1]

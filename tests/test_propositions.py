@@ -186,17 +186,18 @@ def test_perfect_scan_honours_its_sieve_budget():
 
 @pytest.mark.parametrize("segment", [7, 64])
 def test_small_segments_give_the_same_sums_and_hits(monkeypatch, segment):
-    # segment edges, squares that straddle an edge, and d*d past the segment start
+    # segment edges, squares that straddle an edge, least cofactors rounded up
+    # to the next odd one, and (at 7) first multiples past the segment's end
     monkeypatch.setattr(propositions, "_SEGMENT", segment)
     starts, values, sums = [], [], []
-    for n, sig in propositions._sigma_segments(2000):
-        assert len(n) == len(sig) <= segment
-        starts.append(int(n[0]))
-        values += n.tolist()
+    for m, sig in propositions._sigma_segments(2000):
+        assert len(m) == len(sig) <= segment
+        starts.append(int(m[0]))
+        values += m.tolist()
         sums += sig.tolist()
-    assert starts == list(range(1, 2001, segment))
-    assert values == list(range(1, 2001))
-    assert sums == [sigma_by_enumeration(n) for n in range(1, 2001)]
+    assert starts == list(range(1, 2001, 2 * segment))
+    assert values == list(range(1, 2001, 2))
+    assert sums == [sigma_by_enumeration(m) for m in values]
     assert perfect_scan(10**4) == [(6, 2), (28, 3), (496, 5), (8128, 7)]
 
 
@@ -212,12 +213,19 @@ def test_segment_sums_match_the_multiples_oracle(monkeypatch, sums_to_10_5, segm
     # segments run past it and take the prefix-plus-constant fallback
     monkeypatch.setattr(propositions, "_SEGMENT", segment)
     values, sums = [], []
-    for n, sig in propositions._sigma_segments(10**5):
-        assert n.dtype == sig.dtype == np.int32
-        values += n.tolist()
+    for m, sig in propositions._sigma_segments(10**5):
+        assert m.dtype == sig.dtype == np.int32
+        values += m.tolist()  # read before the next segment reuses the arrays
         sums += sig.tolist()
-    assert values == list(range(1, 10**5 + 1))
-    assert sums == sums_to_10_5[1:]
+    assert values == list(range(1, 10**5 + 1, 2))
+    assert sums == sums_to_10_5[1::2]
+    # every n = 2**k * m from its odd part: sigma(n) = (2**(k+1) - 1) * sigma(m)
+    odd_sum = dict(zip(values, sums))
+    rebuilt = []
+    for n in range(1, 10**5 + 1):
+        k = (n & -n).bit_length() - 1
+        rebuilt.append(((2 << k) - 1) * odd_sum[n >> k])
+    assert rebuilt == sums_to_10_5[1:]
 
 
 def test_sums_widen_to_int64_where_6n_passes_int32():
@@ -225,16 +233,16 @@ def test_sums_widen_to_int64_where_6n_passes_int32():
     # 6 * limit < 2**31; the generator is lazy, so next() builds one segment
     assert next(propositions._sigma_segments(10**7))[1].dtype == np.int32
     assert next(propositions._sigma_segments((2**31 - 1) // 6))[1].dtype == np.int32
-    n, sig = next(propositions._sigma_segments(2**29))
-    assert n.dtype == sig.dtype == np.int64
-    assert n.tolist() == list(range(1, propositions._SEGMENT + 1))
-    assert sig.tolist() == sigma_by_multiples(propositions._SEGMENT)[1:]
+    m, sig = next(propositions._sigma_segments(2**29))
+    assert m.dtype == sig.dtype == np.int64
+    assert m.tolist() == list(range(1, 2 * propositions._SEGMENT, 2))
+    assert sig.tolist() == sigma_by_multiples(2 * propositions._SEGMENT)[1::2]
 
 
 def test_perfect_scan_peak_memory_does_not_grow_with_the_limit():
-    # a few arrays of one segment (2**18 int32 values, 1 MiB each): about
-    # 5 MiB at any limit. A sieve over the whole range holds more than 16
-    # bytes per value, over 30 MiB at this limit.
+    # three arrays of one segment (2**18 int32 values, 1 MiB each): the ramp,
+    # the sums and the excesses, about 3.3 MiB at any limit. A sieve over the
+    # whole range holds more than 16 bytes per value, over 30 MiB at this limit.
     perfect_scan(10)  # numpy's own import is not the scan's memory
     tracemalloc.start()
     try:
@@ -245,10 +253,61 @@ def test_perfect_scan_peak_memory_does_not_grow_with_the_limit():
     assert peak < 16 * 2**20
 
 
+@pytest.fixture(scope="module")
+def perfect_to_8129():
+    sums = sigma_by_multiples(8129)
+    hits = [n for n in range(1, 8130) if sums[n] == 2 * n]
+    return [(n, next(p for p in range(2, 14) if n == 2 ** (p - 1) * (2**p - 1))) for n in hits]
+
+
+@pytest.mark.parametrize("segment", [7, 64, propositions._SEGMENT])
+def test_scan_edges_around_each_perfect_number(monkeypatch, perfect_to_8129, segment):
+    # n = 2**k * m <= limit is the edge of the walk up the powers of two
+    monkeypatch.setattr(propositions, "_SEGMENT", segment)
+    for perfect in (6, 28, 496, 8128):
+        for limit in (perfect - 1, perfect, perfect + 1):
+            found = perfect_scan(limit)
+            assert found == [hit for hit in perfect_to_8129 if hit[0] <= limit], limit
+
+
+def test_scan_reports_hits_ascending_across_segments_and_powers_of_two(monkeypatch):
+    # Planted sums give sigma(n) = 2n at odd and even n alike: 5 and 9 (k = 0),
+    # 6 and 30 (k = 1, odd parts 3 and 15 in different segments) and 28
+    # (k = 2). The walk meets them as 5, 9, 6, 28, 30; the scan sorts them.
+    planted = {3: 4, 5: 10, 7: 8, 9: 18, 15: 20}
+    sieve = propositions._sigma_segments
+
+    def planting(limit):
+        for m, sig in sieve(limit):
+            for j, value in enumerate(m.tolist()):
+                sig[j] = planted.get(value, 1)
+            yield m, sig
+
+    classified = []
+    monkeypatch.setattr(propositions, "_SEGMENT", 7)
+    monkeypatch.setattr(propositions, "_sigma_segments", planting)
+    monkeypatch.setattr(propositions, "classify_perfect", lambda n: classified.append(n) or 0)
+    assert perfect_scan(40) == [(5, 0), (6, 0), (9, 0), (28, 0), (30, 0)]
+    assert classified == [5, 6, 9, 28, 30]
+    assert perfect_scan(29) == [(5, 0), (6, 0), (9, 0), (28, 0)]
+
+
 def test_classify_perfect_does_not_reach_the_sieve():
     read, names = _names_reached(classify_perfect)
     assert {"sigma", "factorize", "smallest_prime_factor"} <= read
     assert not {"_sigma_sieve", "_sigma_segments", "numpy", "np"} & (read | names)
+    # and the mirror: the sieve sums divisors from the definition, assuming
+    # neither primality nor the shape classify_perfect then checks
+    read, names = _names_reached(propositions._sigma_segments)
+    assert read == {"_sigma_segments"}
+    assert not {
+        "lucas_lehmer",
+        "perfect_from_mersenne",
+        "classify_perfect",
+        "sigma",
+        "factorize",
+        "smallest_prime_factor",
+    } & (read | names)
 
 
 def test_classify_agrees_with_scan_below_10000():
