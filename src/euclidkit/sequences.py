@@ -4,7 +4,7 @@ prime divisors for composite runs, and witness-free run lengths."""
 from __future__ import annotations
 
 from array import array
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 from math import ceil, gcd, isqrt, log, perm, prod
 from operator import lt
 from typing import NamedTuple
@@ -77,20 +77,25 @@ def _witness_index(values) -> int | None:
 
     v is coprime to each of u1, ..., uk exactly when it is coprime to their
     product. So the values are cut into fixed blocks of _BLOCK, and each
-    candidate is tested pairwise within its own block and then against the
-    product of every other block: multiplication and gcd only. A block of a
-    step-1 range is consecutive integers, whose product math.perm takes
-    without building them.
+    candidate is tested against its own block and then against the product
+    of every other block: multiplication and gcd only. Its own block's
+    product is P = v*R, and gcd(v*v, P) = v*gcd(v, R), so v is coprime to
+    the rest of its block exactly when gcd(v*v, P) == v. The full blocks of
+    a step-1 range are consecutive integers, whose products math.perm takes
+    in one map, without building them.
     """
-    blocks = [values[s : s + _BLOCK] for s in range(0, len(values), _BLOCK)]
     if isinstance(values, range) and values.step == 1:
-        products = [perm(block[-1], len(block)) for block in blocks]
+        ends = range(values.start + _BLOCK - 1, values.stop, _BLOCK)
+        products = list(map(perm, ends, repeat(_BLOCK)))
+        tail = values[len(products) * _BLOCK :]
+        if tail:
+            products.append(perm(tail[-1], len(tail)))
     else:
-        products = list(map(prod, blocks))
-    for k, block in enumerate(blocks):
+        products = [prod(values[s : s + _BLOCK]) for s in range(0, len(values), _BLOCK)]
+    for k, product in enumerate(products):
         others = products[:k] + products[k + 1 :]
-        for i, v in enumerate(block):
-            if not _shares_factor(v, chain(block[:i], block[i + 1 :], others)):
+        for i, v in enumerate(values[k * _BLOCK : (k + 1) * _BLOCK]):
+            if gcd(v * v, product) == v and not _shares_factor(v, others):
                 return k * _BLOCK + i + 1
     return None
 

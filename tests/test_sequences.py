@@ -115,6 +115,38 @@ def test_witness_index_on_a_range_matches_the_same_values_as_a_tuple(start, leng
     assert _witness_index(window) == _witness_index(tuple(window))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    start=st.integers(1, 10**6),
+    length=st.one_of(st.sampled_from([1, 2, 31, 32, 33, 63, 64, 65]), st.integers(1, 200)),
+)
+def test_witness_index_on_a_range_matches_the_pairwise_oracle(start, length):
+    # the range's full blocks come from one map of math.perm, its tail from
+    # one more perm, and its own-block test from gcd(v * v, product)
+    window = range(start, start + length)
+    assert _witness_index(window) == witness_by_pairwise_gcd(list(window))
+
+
+def test_w_witness_sees_a_factor_shared_inside_its_own_block():
+    # 101 and 103 share a factor only with their product, the last value of
+    # the same block of 32, so no other block's product can rule them out
+    values = [p for p in range(101, 400) if is_prime_trial(p)][:31] + [101 * 103]
+    assert len(values) == sequences._BLOCK
+    assert w_witness(values).witness_index == 3
+    assert witness_by_pairwise_gcd(values) == 3
+    assert w_witness([101, 103, 107, 101 * 103]).witness_index == 3
+
+
+@pytest.mark.parametrize("length", [32, 33, 37])
+def test_witness_index_on_a_range_sees_the_neighbour_31_places_on(length):
+    # 1147 = 31 * 37 shares a factor with 1178 = 31 * 38 only, 31 places on in
+    # its own block; 1184 = 32 * 37 is past every window here
+    window = range(1147, 1147 + length)
+    assert [v for v in window[1:] if builtin_gcd(1147, v) > 1] == [1178]
+    assert _witness_index(window) == witness_by_pairwise_gcd(list(window)) == 5
+    assert w_witness(window).witness_value == 1151
+
+
 def test_w_witness_sees_a_factor_shared_across_blocks():
     # 101 and 103 share a factor only with their product, 49 places on
     values = [p for p in range(101, 400) if is_prime_trial(p)][:49] + [101 * 103]
@@ -255,6 +287,17 @@ def test_witness_side_tests_no_primality():
     }
     assert "gcd" in names
     assert not names & _NOT_ON_THE_W_SIDE
+
+
+@pytest.mark.parametrize("kernel", [_witness_index, sequences._shares_factor])
+def test_witness_kernel_takes_no_division(kernel):
+    # multiplication and gcd only: no remainder, quotient or true division,
+    # so a block's tail comes by slicing and its candidates by walking it
+    division = (ast.Mod, ast.Div, ast.FloorDiv)
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(kernel)))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, division), ast.unparse(node)
+        assert not (isinstance(node, ast.Name) and node.id == "divmod")
 
 
 def test_prime_side_takes_no_gcd():
