@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown, _within
 from .euclid import DEFAULT_STEP_BUDGET, _quotient_runs, gcd_remainder
 
 DEFAULT_SCAN_BUDGET = 10**6
@@ -98,9 +98,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
     natural logarithm.
     """
     _at_least(a, "a", 2, "yao_knuth_stat")
-    budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
-    if a > budget:
-        raise ResourceLimitError(f"yao_knuth_stat({_shown(a)}): scan budget is {budget}")
+    _within(a, scan_budget, DEFAULT_SCAN_BUDGET, "yao_knuth_stat", "scan budget")
     total = 0
     for b in range(1, a + 1):
         x, y = a, b
@@ -114,9 +112,7 @@ def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat
 def average_cf_length(a: int, *, scan_budget: int | None = None) -> float:
     """Mean number of division steps for a/b over b = 1..a (report-only)."""
     _at_least(a, "a", 2, "average_cf_length")
-    budget = DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget
-    if a > budget:
-        raise ResourceLimitError(f"average_cf_length({_shown(a)}): scan budget is {budget}")
+    _within(a, scan_budget, DEFAULT_SCAN_BUDGET, "average_cf_length", "scan budget")
     steps = 0
     for b in range(1, a + 1):
         x, y = a, b

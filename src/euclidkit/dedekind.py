@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, _at_least, _integer, _shown, _within
 
 DEFAULT_SCAN_LIMIT = 1000  # reciprocity_scan's largest modulus by default: about 10 s
 
@@ -112,9 +112,7 @@ def reciprocity_scan(
     DEFAULT_SCAN_LIMIT) is refused before any row is built.
     """
     _at_least(limit, "limit", 0, "reciprocity_scan")
-    budget = DEFAULT_SCAN_LIMIT if scan_budget is None else scan_budget
-    if limit > budget:
-        raise ResourceLimitError(f"reciprocity_scan({_shown(limit)}): limit is {budget}")
+    _within(limit, scan_budget, DEFAULT_SCAN_LIMIT, "reciprocity_scan", "limit")
     rows: list[list[int | None]] = [[]]  # rows[k] is _row(k)
     pairs = 0
     nonzero = []

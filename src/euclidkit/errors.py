@@ -32,6 +32,15 @@ def _at_least(value: int, name: str, least: int, caller: str) -> None:
         raise DomainError(f"{caller} needs {name} >= {least}, got {_shown(value)}")
 
 
+def _within(value: int, budget: int | None, default: int, caller: str, bound: str) -> int:
+    """The budget (default when it is None), once value, caller's limit, is
+    checked not to exceed it; ResourceLimitError names the bound otherwise."""
+    budget = default if budget is None else budget
+    if value > budget:
+        raise ResourceLimitError(f"{caller}({_shown(value)}): {bound} is {budget}")
+    return budget
+
+
 def _shown(value) -> str:
     """str(value), or "<n-bit integer>" (signed) for an int with more digits
     than Python converts to a string (sys.get_int_max_str_digits())."""

@@ -11,7 +11,7 @@ from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown, _within
 
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_FACTOR_BUDGET = 10**7
@@ -41,9 +41,7 @@ def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
     """All primes <= limit, ascending, by sieve of Eratosthenes: those up to
     isqrt(limit) by recursion, then the window above them sieved by them."""
     _at_least(limit, "limit", 0, "primes_up_to")
-    budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
-    if limit > budget:
-        raise ResourceLimitError(f"primes_up_to({_shown(limit)}): sieve limit is {budget}")
+    budget = _within(limit, sieve_budget, DEFAULT_SIEVE_LIMIT, "primes_up_to", "sieve limit")
     if limit < 2:
         return []
     lo = isqrt(limit) + 1
@@ -51,14 +49,14 @@ def primes_up_to(limit: int, *, sieve_budget: int | None = None) -> list[int]:
     return base + list(compress(range(lo, limit + 1), _window_flags(lo, limit, base)))
 
 
-def _factor_table(limit: int) -> array:
-    """table[n] = smallest prime factor of n for 2 <= n <= limit (so n is
-    prime exactly when table[n] == n). Base primes write themselves over
-    their multiples by slice assignment, largest first, so the smallest one
-    is the last to write. The caller bounds limit."""
-    table = array("I", range(limit + 1))
-    for p in reversed(primes_up_to(isqrt(limit))):
-        table[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+def _least_primes(lo: int, table: array, primes: list[int]) -> array:
+    """table, with table[i] set to the least of primes dividing lo + i
+    wherever one does; other entries keep their value. Each prime writes
+    itself over its multiples by one slice assignment, largest first, so the
+    smallest one is the last to write."""
+    for p in reversed(primes):
+        first = -lo % p  # offset of the table's first multiple of p
+        table[first::p] = array("I", [p]) * len(range(first, len(table), p))
     return table
 
 

@@ -15,6 +15,7 @@ from .errors import (
     _at_least,
     _integer,
     _shown,
+    _within,
 )
 from .integers import (
     DEFAULT_FACTOR_BUDGET, DEFAULT_SIEVE_LIMIT, lucas_lehmer, sigma, smallest_prime_factor
@@ -214,9 +215,7 @@ def perfect_scan(limit: int, *, sieve_budget: int | None = None) -> list[tuple[i
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 1, "perfect_scan")
-    budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
-    if limit > budget:
-        raise ResourceLimitError(f"perfect_scan({_shown(limit)}): sieve limit is {budget}")
+    _within(limit, sieve_budget, DEFAULT_SIEVE_LIMIT, "perfect_scan", "sieve limit")
     import numpy as np
 
     hits: list[int] = []

@@ -9,10 +9,10 @@ from math import ceil, gcd, isqrt, log, perm, prod
 from operator import lt
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, _at_least, _integer, _shown, _within
 from .integers import (
     DEFAULT_SIEVE_LIMIT,
-    _factor_table,
+    _least_primes,
     _window_flags,
     factorize,
     primes_up_to,
@@ -141,9 +141,9 @@ def interval_equivalence_scan(
     values). A limit above sieve_budget (default DEFAULT_INTERVAL_LIMIT) is
     refused before anything is allocated."""
     _at_least(limit, "limit", 0, "interval_equivalence_scan")
-    budget = DEFAULT_INTERVAL_LIMIT if sieve_budget is None else sieve_budget
-    if limit > budget:
-        raise ResourceLimitError(f"interval_equivalence_scan({_shown(limit)}): limit is {budget}")
+    budget = _within(
+        limit, sieve_budget, DEFAULT_INTERVAL_LIMIT, "interval_equivalence_scan", "limit"
+    )
     base_primes = primes_up_to(limit, sieve_budget=budget)
     verdicts = []
     first = 1
@@ -249,7 +249,7 @@ def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | Non
 
 
 def _prime_divisors(n: int, table) -> list[int]:
-    """Ascending distinct primes dividing n >= 1, read off a _factor_table."""
+    """Ascending distinct primes dividing n >= 1, read off a least-prime table."""
     out = []
     while n > 1:
         p = table[n]
@@ -271,12 +271,10 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
-    budget = DEFAULT_SIEVE_LIMIT if sieve_budget is None else sieve_budget
-    if limit > budget:
-        raise ResourceLimitError(f"grimm_scan({_shown(limit)}): sieve limit is {budget}")
+    _within(limit, sieve_budget, DEFAULT_SIEVE_LIMIT, "grimm_scan", "sieve limit")
     # the last run starting <= limit ends just before this prime
     top = next(v for v in count(limit + 1) if smallest_prime_factor(v) == v)
-    table = _factor_table(top)
+    table = _least_primes(0, array("I", range(top + 1)), primes_up_to(isqrt(top)))
     primes = [v for v in range(2, top + 1) if table[v] == v]
     proven: set[int] = set()  # primes verify_assignment has trial-divided
     results = []
@@ -310,11 +308,8 @@ def non_w_max_run(m: int, n_max: int) -> int:
     one sieve pass gives every L, and one pass over n the last length left."""
     _at_least(m, "m", 0, "non_w_max_run")
     _at_least(n_max, "n_max", 1, "non_w_max_run")
-    primes = primes_up_to(n_max)  # refuses n_max past the sieve limit
-    least = array("I", [n_max + 1]) * (n_max + 1)  # least[i] = L for m + i
-    for p in reversed(primes):  # smallest prime writes last
-        first = -m % p  # offset of the first multiple of p; index 0 is unused
-        least[first::p] = array("I", [p]) * len(range(first, n_max + 1, p))
+    primes = primes_up_to(n_max)  # refuses n_max past the sieve limit before allocating
+    least = _least_primes(m, array("I", [n_max + 1]) * (n_max + 1), primes)  # L for each m + i
     best = reach = 0  # reach: the longest length some element up to n covers
     for n in range(1, n_max + 1):
         if n <= least[n]:

@@ -122,6 +122,13 @@ def test_average_cf_length_frozen():
         yao_knuth_stat(1)
 
 
+@pytest.mark.parametrize("scan", [yao_knuth_stat, average_cf_length])
+def test_statistics_refuse_a_limit_past_their_budget(scan):
+    assert scan(10, scan_budget=10) == scan(10)
+    with pytest.raises(ResourceLimitError, match=rf"^{scan.__name__}\(11\): scan budget is 10$"):
+        scan(11, scan_budget=10)
+
+
 # ---------------------------------------------------------------------------
 # the subtractive map and its matrix certificate
 

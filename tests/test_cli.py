@@ -878,6 +878,17 @@ ERROR_GOLDENS = [
         },
         id="interval-equiv-scan-budget",
     ),
+    pytest.param(
+        ["stats", "yao-knuth", "11", "--budget", "10"],
+        3,
+        {
+            "text": "stats yao-knuth  a=11 budget=10 format=text\n"
+            "VIOLATION: yao_knuth_stat(11): scan budget is 10\n",
+            "report": "command: stats yao-knuth\nparam a: 11\nparam budget: 10\n"
+            "param format: report\nviolation: yao_knuth_stat(11): scan budget is 10\n",
+        },
+        id="stats-yao-knuth-scan-budget",
+    ),
 ]
 
 

@@ -228,6 +228,7 @@ def test_the_reciprocity_checks_reach_no_euclid_chain():
         "_at_least",
         "_integer",
         "_shown",
+        "_within",
     }
     assert found == []
 

@@ -1,6 +1,7 @@
 """Primes, factorization, sigma, and Lucas-Lehmer against brute-force oracles."""
 
 import random
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
@@ -16,6 +17,8 @@ from euclidkit import (
     average_cf_length,
     dedekind_sum,
     factorize,
+    grimm_scan,
+    interval_equivalence_scan,
     lucas_lehmer,
     perfect_scan,
     primes_up_to,
@@ -27,11 +30,10 @@ from euclidkit import (
     w_witness,
     yao_knuth_stat,
 )
-from euclidkit.integers import _factor_table, _window_flags
+from euclidkit.integers import _least_primes, _window_flags
 from oracles import (
     is_prime_trial,
     lucas_lehmer_by_remainder,
-    prime_divisors_by_trial,
     sigma_by_enumeration,
 )
 
@@ -99,12 +101,21 @@ def test_primes_up_to_budget():
         primes_up_to(10**6, sieve_budget=1000)
 
 
-def test_factor_table_matches_trial_division_to_20000():
-    table = _factor_table(20000)
-    assert len(table) == 20001
-    for n in range(2, 20001):
-        assert table[n] == prime_divisors_by_trial(n)[0], n
-        assert (table[n] == n) == is_prime_trial(n), n
+@pytest.mark.parametrize(
+    "lo, fill, bound",
+    [(0, range(20001), isqrt(20000)), (10**12 + 1, [0] * 2000, 2000)],
+    ids=["to-20000", "shifted-window"],
+)
+def test_least_primes_matches_trial_division(lo, fill, bound):
+    # entry i is the least prime up to bound dividing lo + i (the least
+    # divisor > 1 of a number is prime), or its fill where none divides it
+    table = _least_primes(lo, array("I", fill), primes_up_to(bound))
+    assert len(table) == len(fill)
+    for i, entry in enumerate(table):
+        n = lo + i
+        assert entry == next((d for d in range(2, bound + 1) if n % d == 0), fill[i]), n
+        if lo == 0 and n >= 2:  # from table[n] = n: n stays exactly at the primes
+            assert (entry == n) == is_prime_trial(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +279,10 @@ def test_bool_and_float_arguments_are_domain_errors(op, args):
         (reciprocity_residual, (10**5000, 10**5000), {}, DomainError),
         (w_witness, ([-(10**5000), 1],), {}, DomainError),
         (reciprocity_scan, (10**5000,), {}, ResourceLimitError),
+        (grimm_scan, (10**5000,), {}, ResourceLimitError),
+        (interval_equivalence_scan, (10**5000,), {}, ResourceLimitError),
+        (yao_knuth_stat, (10**5000,), {}, ResourceLimitError),
+        (average_cf_length, (10**5000,), {}, ResourceLimitError),
     ],
 )
 def test_huge_arguments_keep_their_typed_errors(op, args, kwargs, error):

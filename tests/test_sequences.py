@@ -302,7 +302,7 @@ def test_witness_kernel_takes_no_division(kernel):
 
 def test_prime_side_takes_no_gcd():
     read, names = _names_reached(_window_flags, primes_up_to)
-    assert read == {"_window_flags", "primes_up_to", "_at_least", "_integer", "_shown"}
+    assert read == {"_window_flags", "primes_up_to", "_at_least", "_integer", "_shown", "_within"}
     assert "gcd" not in names
 
 
@@ -544,7 +544,7 @@ def test_a_bogus_infeasibility_certificate_raises(monkeypatch, call, run, certif
 def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     read, names = _names_reached(verify_assignment)
     assert "smallest_prime_factor" in read
-    assert not {"_factor_table", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
+    assert not {"_least_primes", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
 
 
 def test_grimm_scan_trial_divides_each_distinct_prime_once(monkeypatch):
