@@ -4,9 +4,9 @@ prime divisors for composite runs, and witness-free run lengths."""
 from __future__ import annotations
 
 from array import array
-from itertools import count, islice, repeat
+from itertools import compress, count, islice, repeat
 from math import ceil, gcd, isqrt, log, perm, prod
-from operator import lt
+from operator import eq, lt, mod
 from typing import NamedTuple
 
 from .errors import DomainError, _at_least, _integer, _shown, _within
@@ -215,24 +215,39 @@ def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple
 
 
 def verify_assignment(result: GrimmAssignment, *, _proven: set[int] | None = None) -> bool:
-    """Re-check an assignment from scratch: divisibility and distinctness,
-    and primality by trial division. _proven is grimm_scan's set of primes
-    that passed the trial division earlier in the same scan: they skip it,
-    and the primes that pass it here join it. It holds primality only, so
-    divisibility is checked on every run."""
-    if len(result.assignment) != result.length:
+    """Re-check an assignment from scratch: length, distinctness,
+    divisibility, and primality by trial division. _proven is grimm_scan's
+    set of primes certified by gcd (see _certified_primes): they skip the
+    trial division. It holds primality only, so divisibility is checked on
+    every run, and a prime outside it is still trial-divided."""
+    start, length, assignment = result
+    distinct = set(assignment)
+    if len(assignment) != length or len(distinct) != length or 0 in distinct:
         return False
-    if len(set(result.assignment)) != result.length:
+    if any(map(mod, range(start + 1, start + 1 + length), assignment)):
         return False
     proven = set() if _proven is None else _proven
-    for i, p in enumerate(result.assignment):
-        if p not in proven:
-            if p < 2 or smallest_prime_factor(p) != p:
-                return False
-            proven.add(p)
-        if (result.start + 1 + i) % p != 0:
-            return False
-    return True
+    return proven.issuperset(assignment) or all(
+        p in proven or (p >= 2 and smallest_prime_factor(p) == p) for p in assignment
+    )
+
+
+def _certified_primes(values) -> set[int]:
+    """The primes among values, by Euclid's algorithm alone: a composite v
+    has a prime factor <= isqrt(v), which divides isqrt(v)!, so v >= 2 is
+    prime exactly when gcd(v, isqrt(v)!) == 1. The values are walked in
+    ascending order, and the factorial grows by one factor each time
+    isqrt(v) goes up."""
+    certified = set()
+    factorial = j = 1  # factorial == j!
+    for v in sorted(values):
+        root = isqrt(v)
+        while j < root:
+            j += 1
+            factorial *= j
+        if v >= 2 and gcd(v, factorial) == 1:
+            certified.add(v)
+    return certified
 
 
 def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | None:
@@ -241,19 +256,23 @@ def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | Non
     fewer primes than they number, which no distinct choice survives; any
     other certificate is a bug and raises."""
     assignment, stuck = _match(divisors)
-    hall = {i for i in stuck if 0 <= i < len(divisors)}  # distinct, in-range positions
-    if assignment is None and len(set().union(*(divisors[i] for i in hall))) >= len(hall):
-        end = _shown(m + len(divisors))
-        raise RuntimeError(f"infeasibility certificate fails at run {_shown(m)}+1..{end}")
+    if assignment is None:
+        hall = {i for i in stuck if 0 <= i < len(divisors)}  # distinct, in-range positions
+        if len(set().union(*(divisors[i] for i in hall))) >= len(hall):
+            end = _shown(m + len(divisors))
+            raise RuntimeError(f"infeasibility certificate fails at run {_shown(m)}+1..{end}")
     return assignment
 
 
-def _prime_divisors(n: int, table) -> list[int]:
-    """Ascending distinct primes dividing n >= 1, read off a least-prime table."""
+def _prime_divisors(n: int, table, bound: int) -> list[int]:
+    """Ascending distinct primes dividing n >= 1, read off a least-prime
+    table, up to the first one >= bound if there is one."""
     out = []
     while n > 1:
         p = table[n]
         out.append(p)
+        if p >= bound:
+            break
         n //= p  # p = table[n] divides n
         while n % p == 0:
             n //= p
@@ -265,9 +284,13 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
 
     Returns a list of (m, n, matched, assignment, validated). One
     smallest-prime-factor table, up to the first prime past limit, gives the
-    runs and every element's prime divisors. Each assignment is re-checked
-    by verify_assignment, which trial-divides each distinct prime once per
-    scan; an infeasible run is certified as in grimm_assign.
+    runs and every element's prime divisors. An element's list stops at its
+    first prime p >= n: no other element of the run is a multiple of p, so
+    the matching takes p as soon as it reaches it, and a failed search
+    reaches only elements with no such prime, whose lists are whole. Every
+    distinct assigned prime is certified once, by gcd (_certified_primes),
+    and each assignment is re-checked by verify_assignment; an infeasible
+    run is certified as in grimm_assign.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
@@ -275,15 +298,17 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     # the last run starting <= limit ends just before this prime
     top = next(v for v in count(limit + 1) if smallest_prime_factor(v) == v)
     table = _least_primes(0, array("I", range(top + 1)), primes_up_to(isqrt(top)))
-    primes = [v for v in range(2, top + 1) if table[v] == v]
-    proven: set[int] = set()  # primes verify_assignment has trial-divided
-    results = []
+    # table[1] == 1 as well, and 1 is no prime: the list starts past it
+    primes = list(compress(count(), map(eq, table, count())))[1:]
+    runs = []
     for p, q in zip(primes, primes[1:]):
         n = q - p - 1
-        if n == 0:
-            continue
-        divisors = [_prime_divisors(v, table) for v in range(p + 1, q)]
-        assignment = _confirmed_match(divisors, p)
+        if n:
+            divisors = [_prime_divisors(v, table, n) for v in range(p + 1, q)]
+            runs.append((p, n, _confirmed_match(divisors, p)))
+    proven = _certified_primes(set().union(*(a for _, _, a in runs if a is not None)))
+    results = []
+    for p, n, assignment in runs:
         if assignment is None:
             results.append((p, n, False, (), False))
         else:

@@ -6,6 +6,7 @@ import inspect
 import random
 import textwrap
 import time
+from array import array
 from math import gcd as builtin_gcd
 
 import pytest
@@ -28,8 +29,20 @@ from euclidkit import (
     w_witness,
 )
 from euclidkit import sequences
-from euclidkit.integers import DEFAULT_SIEVE_LIMIT, _window_flags, smallest_prime_factor
-from euclidkit.sequences import _confirmed_match, _interval_sides, _match, _witness_index
+from euclidkit.integers import (
+    DEFAULT_SIEVE_LIMIT,
+    _least_primes,
+    _window_flags,
+    smallest_prime_factor,
+)
+from euclidkit.sequences import (
+    _certified_primes,
+    _confirmed_match,
+    _interval_sides,
+    _match,
+    _prime_divisors,
+    _witness_index,
+)
 from oracles import (
     assignment_by_backtracking,
     is_prime_trial,
@@ -547,27 +560,41 @@ def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     assert not {"_least_primes", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
 
 
-def test_grimm_scan_trial_divides_each_distinct_prime_once(monkeypatch):
-    calls = []
+def test_grimm_scan_certifies_each_distinct_prime_once(monkeypatch):
+    calls, seen = [], []
+    certify = sequences._certified_primes
 
     def counted(n, **kwargs):
         calls.append(n)
         return smallest_prime_factor(n, **kwargs)
 
+    def recorded(values):
+        seen.append(sorted(values))
+        return certify(values)
+
     monkeypatch.setattr(sequences, "smallest_prime_factor", counted)
+    monkeypatch.setattr(sequences, "_certified_primes", recorded)
     limit = 10**4
     top = next(v for v in range(limit + 1, 2 * limit) if is_prime_trial(v))
     rows = grimm_scan(limit)
     assert all(matched and validated for _, _, matched, _, validated in rows)
-    distinct = {p for _, _, _, assignment, _ in rows for p in assignment}
+    distinct = sorted({p for _, _, _, assignment, _ in rows for p in assignment})
     searched = list(range(limit + 1, top + 1))  # the search for the first prime past limit
-    assert len(calls) == len(distinct) + len(searched)
-    assert calls[: len(searched)] == searched
-    assert sorted(calls[len(searched) :]) == sorted(distinct)
-    # a second scan carries nothing over: it trial-divides every prime again
+    # the search is the scan's only trial division, and one certificate
+    # sees each distinct assigned prime exactly once
+    assert calls == searched and len(searched) == 7
+    assert seen == [distinct]
+    # a second scan carries nothing over: it certifies every prime again
     calls.clear()
+    seen.clear()
     assert grimm_scan(limit) == rows
-    assert len(calls) == len(distinct) + len(searched)
+    assert calls == searched
+    assert seen == [distinct]
+
+
+def _cut(primes: list[int], bound: int) -> list[int]:
+    """primes up to the first one >= bound, as grimm_scan lists them."""
+    return next((primes[: i + 1] for i, p in enumerate(primes) if p >= bound), primes)
 
 
 def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monkeypatch):
@@ -578,7 +605,7 @@ def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monk
 
     def tampered(divisors):
         assignment, stuck = real_match(divisors)
-        if divisors == [prime_divisors_by_trial(v) for v in range(90, 97)]:
+        if divisors == [_cut(prime_divisors_by_trial(v), 7) for v in range(90, 97)]:
             return (11, *assignment[1:]), stuck
         return assignment, stuck
 
@@ -587,6 +614,68 @@ def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monk
         (89, 7, True, (11, *row[3][1:]), False) if row[0] == 89 else row for row in rows
     ]
     assert grimm_scan(100) == expected
+
+
+def test_verify_assignment_refuses_zero_and_one():
+    # each divides nothing or everything, and neither is a prime
+    assert not verify_assignment(GrimmAssignment(89, 7, (0, 7, 23, 31, 47, 5, 2)))
+    assert not verify_assignment(GrimmAssignment(89, 7, (1, 7, 23, 31, 47, 5, 2)))
+    assert not verify_assignment(GrimmAssignment(89, 7, (1, 7, 23, 31, 47, 5, 2)), _proven={7})
+    good = grimm_assign(89, 7)
+    # a prime outside the proven set is trial-divided, not refused
+    assert verify_assignment(good, _proven=set()) and verify_assignment(good, _proven={2, 3})
+
+
+def test_certified_primes_match_trial_division_below_200000():
+    limit = 2 * 10**5
+    assert _certified_primes(range(limit)) == set(filter(is_prime_trial, range(limit)))
+    assert _certified_primes([1, 0, 1]) == set()
+    assert _certified_primes([10**6 + 3, 4, 997 * 997, 10**6 + 3]) == {10**6 + 3}
+
+
+def test_prime_certificate_reaches_no_sieve_and_takes_no_division():
+    # gcd against a running factorial only: no sieve, no trial division,
+    # no remainder or quotient taken in Python
+    read, names = _names_reached(_certified_primes)
+    assert read == {"_certified_primes"}
+    assert "gcd" in names
+    forbidden = {
+        "_least_primes",
+        "primes_up_to",
+        "_window_flags",
+        "_prime_divisors",
+        "factorize",
+        "smallest_prime_factor",
+        "divmod",
+        "mod",
+        "floordiv",
+        "truediv",
+    }
+    assert not forbidden & names
+    division = (ast.Mod, ast.Div, ast.FloorDiv)
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(_certified_primes)))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, division), ast.unparse(node)
+
+
+def test_matching_on_cut_divisor_lists_equals_matching_on_full_ones():
+    # a prime p >= n divides one element of an n-run at most, so the lists
+    # grimm_scan cuts after it give _match the same assignment and the same
+    # Hall certificate as the whole lists
+    rng = random.Random(21)
+    infeasible = 0
+    for _ in range(40):
+        m = rng.randrange(1, 10 ** rng.randint(1, 9))
+        full = [prime_divisors_by_trial(v) for v in range(m + 1, m + 61)]
+        for n in range(1, 61):
+            assignment, stuck = _match(full[:n])
+            assert _match([_cut(primes, n) for primes in full[:n]]) == (assignment, stuck)
+            infeasible += assignment is None
+    assert infeasible > 100  # both branches were exercised
+    table = _least_primes(0, array("I", range(5001)), primes_up_to(70))
+    for v in range(1, 5001):
+        for bound in (1, 2, 7, 30, 60):
+            assert _prime_divisors(v, table, bound) == _cut(prime_divisors_by_trial(v), bound)
 
 
 # ---------------------------------------------------------------------------
