@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown, _within
-from .euclid import DEFAULT_STEP_BUDGET, _quotient_runs, gcd_remainder
+from .euclid import DEFAULT_STEP_BUDGET, _division_chain, _positive
 
 DEFAULT_SCAN_BUDGET = 10**6
 
@@ -61,12 +61,20 @@ class DynamicsRun(NamedTuple):
 
 def cf_expand(a: int, b: int) -> ContinuedFraction:
     """Partial quotients of a/b, read straight off the division chain."""
-    _, trace = gcd_remainder(a, b)
-    return ContinuedFraction(tuple(step.quotient for step in trace.steps))
+    _positive(a, "a")
+    _positive(b, "b")
+    return ContinuedFraction(tuple(_division_chain(a, b)[0]))
 
 
 def _validate_quotients(cf) -> tuple[int, ...]:
     quotients = tuple(cf.quotients) if isinstance(cf, ContinuedFraction) else tuple(cf)
+    # one pass in C for the common case; the loop below names any fault
+    if (
+        set(map(type, quotients)) == {int}
+        and quotients[0] >= 0
+        and min(quotients[1:], default=1) >= 1
+    ):
+        return quotients
     if not quotients:
         raise DomainError("a continued fraction needs at least one quotient")
     for i, q in enumerate(quotients):
@@ -142,15 +150,15 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
     if not (x and y):
         return DynamicsRun((x, y), 0, (x, y), IDENTITY)
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    runs = list(_quotient_runs(x, y))
-    steps = sum(q for _, _, q, _ in runs)
+    quotients, remainders = _division_chain(x, y)
+    steps = sum(quotients)
     if steps > budget:
         raise ResourceLimitError(
             f"dynamical_run({_shown(x)}, {_shown(y)}): exceeded {budget} steps"
         )
     p11, p12, p21, p22 = 1, 0, 0, 1
     top = True  # the chain of x/y starts on x, with q = 0 if x < y
-    for _, _, q, r in runs:
+    for q, r in zip(quotients, remainders):
         if top:
             p11 -= q * p21  # left-multiply by TOP_MINUS_BOTTOM ** q
             p12 -= q * p22
@@ -165,4 +173,5 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
                 p12 -= p22
         top = not top
     product = UnimodularMatrix(p11, p12, p21, p22)
-    return DynamicsRun((x, y), steps, (0, runs[-1][1]), product)
+    gcd = remainders[-2] if len(remainders) > 1 else y
+    return DynamicsRun((x, y), steps, (0, gcd), product)

@@ -3,9 +3,9 @@ reconstructed from a gcd identity certificate.
 
 The subtractive and remainder forms return full step traces so callers can
 replay and audit every reduction; the subtractive trace is stored as quotient
-runs and builds each step when it is read. The extended form fixes its
-coefficients by back-substitution through the remainder trace, making them
-deterministic.
+runs and builds each step when it is read. All three read one division chain,
+_division_chain. The extended form fixes its coefficients by back-substitution
+over that chain's quotient list, making them deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer, _shown
@@ -139,20 +140,23 @@ def _positive(value: int, name: str) -> int:
     return value
 
 
-def _quotient_runs(a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
-    """The division chain of a/b as (larger, smaller, q, r) runs, with
-    larger = smaller*q + r: the partial quotients of a/b, in order.
+def _division_chain(a: int, b: int) -> tuple[list[int], list[int]]:
+    """The division chain of a/b as (quotients, remainders): with
+    pairs = [a, b, *remainders], step i is
+    pairs[i] = pairs[i + 1]*quotients[i] + remainders[i].
 
-    A run also stands for q subtractions of smaller from larger, ending at r.
-    For a < b the first run is (a, b, 0, a). The last run has r = 0 and its
-    smaller is the gcd. Needs a, b >= 1.
+    The quotients are the partial quotients of a/b, in order; quotient q
+    also stands for q subtractions of pairs[i + 1] from pairs[i]. For a < b
+    the first quotient is 0. The last remainder is 0 and pairs[-2] is the
+    gcd. Needs a, b >= 1.
     """
-    while True:
+    quotients, remainders = [], []
+    while b:
         q, r = divmod(a, b)
-        yield a, b, q, r
-        if not r:
-            return
+        quotients.append(q)
+        remainders.append(r)
         a, b = b, r
+    return quotients, remainders
 
 
 def gcd_subtractive(
@@ -168,35 +172,45 @@ def gcd_subtractive(
     _positive(a, "a")
     _positive(b, "b")
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    runs = [(hi, lo, q if r else q - 1) for hi, lo, q, r in _quotient_runs(a, b)]
-    steps = SubtractiveSteps(runs)
+    quotients, remainders = _division_chain(a, b)
+    quotients[-1] -= 1
+    pairs = [a, b, *remainders]
+    steps = SubtractiveSteps(zip(pairs, pairs[1:], quotients))
     if steps.length > budget:
         raise ResourceLimitError(
             f"gcd_subtractive({_shown(a)}, {_shown(b)}): exceeded {budget} subtraction steps"
         )
-    return runs[-1][1], EuclidTrace("subtractive", steps)
+    return pairs[-2], EuclidTrace("subtractive", steps)
 
 
 def gcd_remainder(a: int, b: int) -> tuple[int, EuclidTrace]:
     """Gcd by repeated division, with the full quotient/remainder chain."""
     _positive(a, "a")
     _positive(b, "b")
-    steps = tuple([EuclidStep(*run) for run in _quotient_runs(a, b)])
-    return steps[-1].smaller, EuclidTrace("remainder", steps)
+    quotients, remainders = _division_chain(a, b)
+    pairs = [a, b, *remainders]
+    # tuple.__new__ builds each EuclidStep in C, skipping the Python __new__
+    steps = tuple(
+        map(tuple.__new__, repeat(EuclidStep), zip(pairs, pairs[1:], quotients, remainders))
+    )
+    return pairs[-2], EuclidTrace("remainder", steps)
 
 
 def xgcd(a: int, b: int) -> BezoutCertificate:
     """Bezout certificate a*x + b*y = gcd(a, b).
 
-    The coefficients are fixed by back-substitution: start from the last
-    division step, where g = 0*larger + 1*smaller, and unwind each step
-    (x, y) -> (y, x - q*y) up the trace.
+    The coefficients are fixed by back-substitution over the quotient list
+    of the division chain: start from the last division, where
+    g = 0*larger + 1*smaller, and unwind each quotient q before it as
+    (x, y) -> (y, x - q*y).
     """
-    g, trace = gcd_remainder(a, b)
+    _positive(a, "a")
+    _positive(b, "b")
+    quotients, remainders = _division_chain(a, b)
     x, y = 0, 1
-    for step in reversed(trace.steps[:-1]):
-        x, y = y, x - step.quotient * y
-    return BezoutCertificate(a, b, g, x, y)
+    for q in reversed(quotients[:-1]):
+        x, y = y, x - q * y
+    return BezoutCertificate(a, b, remainders[-2] if len(remainders) > 1 else b, x, y)
 
 
 def gcd_many(values) -> int:

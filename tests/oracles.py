@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to fix expected values in the tests.
 
 Nothing here shares code with the package: gcds come from divisor
-enumeration, subtractive traces from repeated subtraction,
+enumeration, remainder chains from a plain divmod loop and Bezout
+coefficients from walking that chain back, subtractive traces from repeated
+subtraction,
 orbits of the subtractive map from single steps and their matrix products,
 primality from bare trial division, Lucas-Lehmer residues from a plain
 remainder loop, divisor sums from scanning every candidate divisor,
@@ -34,6 +36,30 @@ def subtractive_steps_by_loop(a: int, b: int) -> list[tuple[int, int, None, int]
         steps.append((hi, lo, None, diff))
         hi, lo = (lo, diff) if lo >= diff else (diff, lo)
     return steps
+
+
+def remainder_chain_by_divmod(a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Steps (larger, smaller, q, r) with larger = smaller*q + r of the
+    remainder chain of a/b, one divmod at a time, until r = 0."""
+    steps = []
+    while True:
+        q, r = divmod(a, b)
+        steps.append((a, b, q, r))
+        if r == 0:
+            return steps
+        a, b = b, r
+
+
+def bezout_by_back_substitution(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b): g = 0*larger + 1*smaller at
+    the last step of the remainder chain, each earlier step rewriting the
+    pair as smaller*x + (larger - q*smaller)*y = larger*y + smaller*(x - q*y)."""
+    steps = remainder_chain_by_divmod(a, b)
+    g = steps[-1][1]
+    x, y = 0, 1
+    for _, _, q, _ in steps[-2::-1]:
+        x, y = y, x - q * y
+    return g, x, y
 
 
 def dynamics_by_loop(x: int, y: int) -> tuple[int, tuple[int, int], tuple[int, int, int, int]]:

@@ -87,6 +87,23 @@ def test_cf_rejects_malformed_quotients():
         cf_expand(0, 5)
 
 
+@pytest.mark.parametrize(
+    "quotients, message",
+    [
+        ((), "a continued fraction needs at least one quotient"),
+        ((True, 2), "quotients[i] must be an integer, got bool"),
+        ((1, Fraction(2)), "quotients[i] must be an integer, got Fraction"),
+        ((-1, 2), "the leading quotient must be >= 0, got -1"),
+        ((3, 0), "quotients after the first must be >= 1, got 0"),
+        ((2.0,), "quotients[i] must be an integer, got float"),
+    ],
+)
+def test_cf_value_names_each_malformed_quotient(quotients, message):
+    with pytest.raises(DomainError) as exc:
+        cf_value(quotients)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # partial-quotient statistics
 

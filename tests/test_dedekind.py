@@ -17,6 +17,7 @@ from euclidkit import (
     cli,
     dedekind,
     dedekind_sum,
+    gcd_remainder,
     reciprocity_residual,
     reciprocity_scan,
     sawtooth,
@@ -191,7 +192,7 @@ def _euclid_in(*roots):
     """Read each root and every package function it calls by name, in turn.
 
     Returns the names of the functions read and, as (function, line, name),
-    every name in them that is `_quotient_runs` or resolves to the euclid
+    every name in them that is `_division_chain` or resolves to the euclid
     module or to anything defined there.
     """
     read, found, todo = [], [], list(roots)
@@ -207,7 +208,7 @@ def _euclid_in(*roots):
             value = fn.__globals__.get(name)
             module = getattr(value, "__name__", None) if inspect.ismodule(value) else None
             if (
-                name == "_quotient_runs"
+                name == "_division_chain"
                 or module == "euclidkit.euclid"
                 or getattr(value, "__module__", None) == "euclidkit.euclid"
             ):
@@ -234,8 +235,8 @@ def test_the_reciprocity_checks_reach_no_euclid_chain():
 
 
 def test_euclid_checker_flags_the_euclid_chain():
-    _, found = _euclid_in(cf_expand)
+    _, found = _euclid_in(cf_expand, gcd_remainder)
     assert {(fn, name) for fn, _, name in found} >= {
-        ("cf_expand", "gcd_remainder"),
-        ("gcd_remainder", "_quotient_runs"),
+        ("cf_expand", "_division_chain"),
+        ("gcd_remainder", "_division_chain"),
     }

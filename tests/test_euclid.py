@@ -18,8 +18,11 @@ from euclidkit import (
     DomainError,
     EuclidStep,
     ResourceLimitError,
+    cf_dynamics,
+    cf_expand,
     division_from_bezout,
     dynamical_run,
+    euclid,
     gcd_many,
     gcd_remainder,
     gcd_subtractive,
@@ -27,7 +30,14 @@ from euclidkit import (
     lowest_terms,
     xgcd,
 )
-from oracles import quotient_sum_by_divmod, subtractive_steps_by_loop
+from euclidkit.euclid import SubtractiveSteps
+from oracles import (
+    bezout_by_back_substitution,
+    dynamics_by_loop,
+    quotient_sum_by_divmod,
+    remainder_chain_by_divmod,
+    subtractive_steps_by_loop,
+)
 
 # ---------------------------------------------------------------------------
 # frozen examples
@@ -346,7 +356,7 @@ def test_division_from_bezout_memory_stays_linear_in_the_input():
 
 
 _DIVIDING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
-_DIVIDING_NAMES = {"divmod", "gcd", "_quotient_runs", "gcd_remainder", "xgcd", "_gcd"}
+_DIVIDING_NAMES = {"divmod", "gcd", "_division_chain", "gcd_remainder", "xgcd", "_gcd"}
 
 
 def _division_in(*roots):
@@ -538,3 +548,116 @@ def test_subtractive_budget_edge_is_sum_of_quotients_minus_one():
     with pytest.raises(ResourceLimitError) as exc:
         gcd_subtractive(1071, 462, step_budget=10)
     assert str(exc.value) == "gcd_subtractive(1071, 462): exceeded 10 subtraction steps"
+
+
+# ---------------------------------------------------------------------------
+# one division chain
+
+
+def _check_chain_routines(a: int, b: int) -> None:
+    chain = remainder_chain_by_divmod(a, b)
+    quotients = [q for _, _, q, _ in chain]
+    total = sum(quotients)
+    g, trace = gcd_remainder(a, b)
+    assert g == chain[-1][1]
+    assert trace.steps == tuple(chain)
+    assert all(type(step) is EuclidStep for step in trace.steps)
+    assert tuple(xgcd(a, b)) == (a, b, *bezout_by_back_substitution(a, b))
+    assert cf_expand(a, b).quotients == tuple(quotients)
+    g_sub, sub = gcd_subtractive(a, b, step_budget=total)
+    assert g_sub == g
+    assert sub.steps == SubtractiveSteps((hi, lo, q if r else q - 1) for hi, lo, q, r in chain)
+    assert sub.steps.length == total - 1
+    run = dynamical_run(a, b, step_budget=total)
+    if total <= 10**4:
+        assert (run.step_count, run.terminal, tuple(run.product)) == dynamics_by_loop(a, b)
+    else:
+        assert (run.step_count, run.terminal) == (total, (0, g))
+        assert run.product.apply(a, b) == run.terminal
+        assert run.product.determinant == 1
+
+
+_UP_TO_400_DIGITS = st.integers(1, 400).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
+@settings(deadline=None)
+@given(a=_UP_TO_400_DIGITS, b=_UP_TO_400_DIGITS)
+def test_chain_routines_match_the_divmod_oracles(a, b):
+    _check_chain_routines(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (46, 240),  # a < b: the chain starts with quotient 0
+        (10**300 + 7, 10**399 + 9),
+        (7, 7),  # a == b: one step, no subtraction
+        (10**399 + 1, 10**399 + 1),
+        (12, 4),  # b | a: one step
+        (4, 12),
+        (3 * 10**300 + 3, 10**300 + 1),
+        (1, 1),  # b = 1
+        (10**5, 1),
+        (10**399 + 1, 1),
+    ],
+)
+def test_chain_routines_match_the_divmod_oracles_at_the_edges(a, b):
+    _check_chain_routines(a, b)
+
+
+def _chain_use(source: str) -> tuple[set[str], set[str], set[str]]:
+    """Which top-level functions and methods of source name divmod, divide
+    inside a loop, and call _division_chain. Code outside a function counts
+    as "<module>"."""
+    divmods, dividing_loops, callers = set(), set(), set()
+    owners = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{getattr(item, 'name', '<body>')}", item) for item in node.body]
+        else:
+            owners.append((getattr(node, "name", "<module>"), node))
+    for owner, node in owners:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id == "divmod":
+                divmods.add(owner)
+            if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_division_chain":
+                callers.add(owner)
+            if isinstance(inner, (ast.While, ast.For)) and any(
+                (isinstance(op, (ast.BinOp, ast.AugAssign)) and isinstance(op.op, _DIVIDING_OPS))
+                or (isinstance(op, ast.Name) and op.id == "divmod")
+                for op in ast.walk(inner)
+            ):
+                dividing_loops.add(owner)
+    return divmods, dividing_loops, callers
+
+
+def test_one_division_chain_serves_every_chain_routine():
+    divmods, dividing_loops, callers = set(), set(), set()
+    for module in (euclid, cf_dynamics):
+        found = _chain_use(inspect.getsource(module))
+        divmods |= found[0]
+        dividing_loops |= found[1]
+        callers |= found[2]
+    assert divmods == {"_division_chain"}
+    # the two statistics scans keep their own remainder loops, which keep no
+    # chain: summing over _division_chain took them 2-3x as long at a = 100437
+    assert dividing_loops == {"_division_chain", "yao_knuth_stat", "average_cf_length"}
+    assert callers >= {"gcd_remainder", "gcd_subtractive", "xgcd", "cf_expand", "dynamical_run"}
+
+
+def test_chain_checker_flags_a_second_chain():
+    source = textwrap.dedent(
+        """
+        def gcd(x, y):
+            while y:
+                x, y = y, x % y
+            return x
+
+        class Pair:
+            def split(self):
+                return divmod(*self)
+
+        q, r = divmod(7, 2)
+        """
+    )
+    assert _chain_use(source) == ({"Pair.split", "<module>"}, {"gcd"}, set())
