@@ -1,14 +1,15 @@
 """Continued fractions from the division chain, the partial-quotient sum
 statistic, and the subtractive map as a dynamical system with unimodular step
-matrices."""
+matrices. The chain (euclid._division_chain) checks the operands it is given."""
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown, _within
-from .euclid import DEFAULT_STEP_BUDGET, _division_chain, _positive
+from .errors import DomainError, ResourceLimitError, _at_least, _budget, _integer, _shown, _within
+from .euclid import DEFAULT_STEP_BUDGET, _division_chain
 
 DEFAULT_SCAN_BUDGET = 10**6
 
@@ -61,8 +62,6 @@ class DynamicsRun(NamedTuple):
 
 def cf_expand(a: int, b: int) -> ContinuedFraction:
     """Partial quotients of a/b, read straight off the division chain."""
-    _positive(a, "a")
-    _positive(b, "b")
     return ContinuedFraction(tuple(_division_chain(a, b)[0]))
 
 
@@ -147,10 +146,10 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
         raise DomainError(f"dynamical_run needs naturals, got ({_shown(x)}, {_shown(y)})")
     if x == 0 and y == 0:
         raise DomainError("dynamical_run needs a nonzero coordinate")
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
     if not (x and y):
         return DynamicsRun((x, y), 0, (x, y), IDENTITY)
-    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    quotients, remainders = _division_chain(x, y)
+    quotients, pairs = _division_chain(x, y)
     steps = sum(quotients)
     if steps > budget:
         raise ResourceLimitError(
@@ -158,7 +157,7 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
         )
     p11, p12, p21, p22 = 1, 0, 0, 1
     top = True  # the chain of x/y starts on x, with q = 0 if x < y
-    for q, r in zip(quotients, remainders):
+    for q, r in zip(quotients, islice(pairs, 2, None)):
         if top:
             p11 -= q * p21  # left-multiply by TOP_MINUS_BOTTOM ** q
             p12 -= q * p22
@@ -173,5 +172,4 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
                 p12 -= p22
         top = not top
     product = UnimodularMatrix(p11, p12, p21, p22)
-    gcd = remainders[-2] if len(remainders) > 1 else y
-    return DynamicsRun((x, y), steps, (0, gcd), product)
+    return DynamicsRun((x, y), steps, (0, pairs[-2]), product)

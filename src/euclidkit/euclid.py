@@ -4,8 +4,10 @@ reconstructed from a gcd identity certificate.
 The subtractive and remainder forms return full step traces so callers can
 replay and audit every reduction; the subtractive trace is stored as quotient
 runs and builds each step when it is read. All three read one division chain,
-_division_chain. The extended form fixes its coefficients by back-substitution
-over that chain's quotient list, making them deterministic.
+_division_chain, which alone checks their operands and returns the quotients
+and the pairs a, b, r1, ..., 0, the gcd next to last. The extended form fixes
+its coefficients by back-substitution over the quotient list, making them
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import CertificateMismatchError, DomainError, ResourceLimitError, _integer, _shown
+from .errors import CertificateMismatchError, DomainError, ResourceLimitError
+from .errors import _budget, _integer, _shown
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -141,22 +144,21 @@ def _positive(value: int, name: str) -> int:
 
 
 def _division_chain(a: int, b: int) -> tuple[list[int], list[int]]:
-    """The division chain of a/b as (quotients, remainders): with
-    pairs = [a, b, *remainders], step i is
-    pairs[i] = pairs[i + 1]*quotients[i] + remainders[i].
+    """The division chain of a/b, for a, b >= 1 (checked), as
+    (quotients, pairs) with pairs = [a, b, r1, ..., 0]: step i is
+    pairs[i] = pairs[i + 1]*quotients[i] + pairs[i + 2].
 
     The quotients are the partial quotients of a/b, in order; quotient q
     also stands for q subtractions of pairs[i + 1] from pairs[i]. For a < b
-    the first quotient is 0. The last remainder is 0 and pairs[-2] is the
-    gcd. Needs a, b >= 1.
+    the first quotient is 0. The gcd is pairs[-2].
     """
-    quotients, remainders = [], []
+    quotients, pairs = [], [_positive(a, "a"), _positive(b, "b")]
     while b:
         q, r = divmod(a, b)
         quotients.append(q)
-        remainders.append(r)
+        pairs.append(r)
         a, b = b, r
-    return quotients, remainders
+    return quotients, pairs
 
 
 def gcd_subtractive(
@@ -169,12 +171,9 @@ def gcd_subtractive(
     of its quotient, for sum(q) - 1 steps in all. The order of a and b does
     not matter: for a < b the chain starts with a run of no steps.
     """
-    _positive(a, "a")
-    _positive(b, "b")
-    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    quotients, remainders = _division_chain(a, b)
+    quotients, pairs = _division_chain(a, b)
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
     quotients[-1] -= 1
-    pairs = [a, b, *remainders]
     steps = SubtractiveSteps(zip(pairs, pairs[1:], quotients))
     if steps.length > budget:
         raise ResourceLimitError(
@@ -185,13 +184,10 @@ def gcd_subtractive(
 
 def gcd_remainder(a: int, b: int) -> tuple[int, EuclidTrace]:
     """Gcd by repeated division, with the full quotient/remainder chain."""
-    _positive(a, "a")
-    _positive(b, "b")
-    quotients, remainders = _division_chain(a, b)
-    pairs = [a, b, *remainders]
+    quotients, pairs = _division_chain(a, b)
     # tuple.__new__ builds each EuclidStep in C, skipping the Python __new__
     steps = tuple(
-        map(tuple.__new__, repeat(EuclidStep), zip(pairs, pairs[1:], quotients, remainders))
+        map(tuple.__new__, repeat(EuclidStep), zip(pairs, pairs[1:], quotients, pairs[2:]))
     )
     return pairs[-2], EuclidTrace("remainder", steps)
 
@@ -204,13 +200,11 @@ def xgcd(a: int, b: int) -> BezoutCertificate:
     g = 0*larger + 1*smaller, and unwind each quotient q before it as
     (x, y) -> (y, x - q*y).
     """
-    _positive(a, "a")
-    _positive(b, "b")
-    quotients, remainders = _division_chain(a, b)
+    quotients, pairs = _division_chain(a, b)
     x, y = 0, 1
     for q in reversed(quotients[:-1]):
         x, y = y, x - q * y
-    return BezoutCertificate(a, b, remainders[-2] if len(remainders) > 1 else b, x, y)
+    return BezoutCertificate(a, b, pairs[-2], x, y)
 
 
 def gcd_many(values) -> int:
@@ -282,7 +276,7 @@ def division_from_bezout(
     """
     _positive(a, "a")
     _positive(b, "b")
-    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
 
     def pair() -> str:  # built only when a message needs it
         return f"({_shown(a)}, {_shown(b)})"

@@ -11,7 +11,7 @@ from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown, _within
+from .errors import DomainError, ResourceLimitError, _at_least, _budget, _integer, _shown, _within
 
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_FACTOR_BUDGET = 10**7
@@ -20,14 +20,12 @@ DEFAULT_FACTOR_BUDGET = 10**7
 def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
     """Least prime dividing n >= 2; n is prime exactly when this returns n."""
     _at_least(n, "n", 2, "smallest_prime_factor")
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
     if n % 2 == 0:
         return 2
-    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
-    steps = 0
-    d = 3
+    d, last = 3, 2 * budget + 1  # trial division k tries d = 2k + 1
     while d * d <= n:
-        steps += 1
-        if steps > budget:
+        if d > last:
             raise ResourceLimitError(
                 f"smallest_prime_factor({_shown(n)}): exceeded {budget} trial divisions"
             )
@@ -92,7 +90,7 @@ class Factorization(NamedTuple):
 def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
     """Full trial-division factorization of n >= 1."""
     _at_least(n, "n", 1, "factorize")
-    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
     factors: list[tuple[int, int]] = []
     rest = n
     exponent = 0
@@ -101,11 +99,9 @@ def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
         exponent += 1
     if exponent:
         factors.append((2, exponent))
-    d = 3
-    steps = 0
+    d, last = 3, 2 * budget + 1  # trial division k tries d = 2k + 1
     while d * d <= rest:
-        steps += 1
-        if steps > budget:
+        if d > last:
             raise ResourceLimitError(f"factorize({_shown(n)}): exceeded {budget} trial divisions")
         if rest % d == 0:
             exponent = 0
@@ -135,7 +131,7 @@ def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
         raise DomainError(f"lucas_lehmer needs a prime exponent, got {_shown(p)}")
     if p == 2:
         return True
-    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
     if p - 2 > budget:
         raise ResourceLimitError(f"lucas_lehmer({_shown(p)}): exceeded {budget} squarings")
     modulus = (1 << p) - 1

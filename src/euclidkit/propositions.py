@@ -13,6 +13,7 @@ from .errors import (
     HypothesisFailedError,
     ResourceLimitError,
     _at_least,
+    _budget,
     _integer,
     _shown,
     _within,
@@ -118,8 +119,8 @@ def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectC
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne
-    budget = DEFAULT_FACTOR_BUDGET if step_budget is None else step_budget
-    if (isqrt(mersenne) - 1) // 2 > max(budget, 0):  # factorize checks after a step
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
+    if (isqrt(mersenne) - 1) // 2 > max(budget, 0):  # factorize checks only inside its loop
         raise ResourceLimitError(f"factorize({_shown(value)}): exceeded {budget} trial divisions")
     sigma_value = sigma(value, step_budget=step_budget)
     if sigma_value != 2 * value:

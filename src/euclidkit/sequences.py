@@ -49,13 +49,10 @@ class GrimmAssignment(NamedTuple):
 
 def _increasing_naturals(seq) -> tuple[int, ...]:
     """seq as a tuple, checked to be a non-empty, strictly increasing
-    sequence of naturals >= 1; a range with step > 0 and start >= 1 is one
-    by construction, so only its length is checked."""
+    sequence of naturals >= 1."""
     values = tuple(seq)
     if not values:
         raise DomainError("w_witness needs a non-empty sequence")
-    if isinstance(seq, range) and seq.step > 0 and seq.start >= 1:
-        return values
     if set(map(type, values)) != {int}:
         for v in values:
             _integer(v, "values[i]")

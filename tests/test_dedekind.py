@@ -230,6 +230,7 @@ def test_the_reciprocity_checks_reach_no_euclid_chain():
         "_integer",
         "_shown",
         "_within",
+        "_budget",
     }
     assert found == []
 

@@ -394,6 +394,7 @@ def test_division_from_bezout_divides_nowhere():
         "division_from_bezout",
         "_ladder",
         "_positive",
+        "_budget",
         "_integer",
         "_shown",
         "BezoutCertificate.holds",
@@ -479,13 +480,16 @@ def test_lowest_terms_frozen_and_coprime():
 
 
 def test_zero_and_negative_arguments_are_domain_errors():
-    for bad_pair in [(0, 5), (5, 0), (-3, 5), (5, -3)]:
-        with pytest.raises(DomainError):
-            gcd_remainder(*bad_pair)
-        with pytest.raises(DomainError):
-            gcd_subtractive(*bad_pair)
-        with pytest.raises(DomainError):
-            xgcd(*bad_pair)
+    # _division_chain checks the operands for every routine that reads it
+    for bad_pair, message in [
+        ((0, 5), "^a must be at least 1, got 0$"),
+        ((5, 0), "^b must be at least 1, got 0$"),
+        ((-3, 5), "^a must be at least 1, got -3$"),
+        ((5, -3), "^b must be at least 1, got -3$"),
+    ]:
+        for op in (gcd_remainder, gcd_subtractive, xgcd, cf_expand):
+            with pytest.raises(DomainError, match=message):
+                op(*bad_pair)
     with pytest.raises(DomainError):
         gcd_many([])
     with pytest.raises(DomainError):
@@ -493,12 +497,18 @@ def test_zero_and_negative_arguments_are_domain_errors():
 
 
 def test_bool_and_non_integer_arguments_are_domain_errors():
-    with pytest.raises(DomainError, match="a must be an integer, got bool"):
+    with pytest.raises(DomainError, match="^a must be an integer, got bool$"):
         gcd_remainder(True, 1)
-    with pytest.raises(DomainError, match="b must be an integer, got bool"):
+    with pytest.raises(DomainError, match="^b must be an integer, got bool$"):
         gcd_subtractive(1, True)
-    with pytest.raises(DomainError, match="a must be an integer, got float"):
+    with pytest.raises(DomainError, match="^a must be an integer, got float$"):
         gcd_subtractive(2.0, 1)
+    with pytest.raises(DomainError, match="^b must be an integer, got bool$"):
+        xgcd(3, False)
+    with pytest.raises(DomainError, match="^a must be an integer, got float$"):
+        cf_expand(2.0, 1)
+    with pytest.raises(DomainError, match="^b must be an integer, got str$"):
+        cf_expand(2, "1")
 
 
 def test_subtractive_budget_is_enforced():
@@ -605,11 +615,11 @@ def test_chain_routines_match_the_divmod_oracles_at_the_edges(a, b):
     _check_chain_routines(a, b)
 
 
-def _chain_use(source: str) -> tuple[set[str], set[str], set[str]]:
+def _chain_use(source: str) -> tuple[set[str], set[str], set[str], set[str]]:
     """Which top-level functions and methods of source name divmod, divide
-    inside a loop, and call _division_chain. Code outside a function counts
-    as "<module>"."""
-    divmods, dividing_loops, callers = set(), set(), set()
+    inside a loop, call _division_chain, and call _positive. Code outside a
+    function counts as "<module>"."""
+    divmods, dividing_loops, callers, checkers = set(), set(), set(), set()
     owners = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -620,29 +630,43 @@ def _chain_use(source: str) -> tuple[set[str], set[str], set[str]]:
         for inner in ast.walk(node):
             if isinstance(inner, ast.Name) and inner.id == "divmod":
                 divmods.add(owner)
-            if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_division_chain":
+            called = getattr(inner.func, "id", None) if isinstance(inner, ast.Call) else None
+            if called == "_division_chain":
                 callers.add(owner)
+            if called == "_positive":
+                checkers.add(owner)
             if isinstance(inner, (ast.While, ast.For)) and any(
                 (isinstance(op, (ast.BinOp, ast.AugAssign)) and isinstance(op.op, _DIVIDING_OPS))
                 or (isinstance(op, ast.Name) and op.id == "divmod")
                 for op in ast.walk(inner)
             ):
                 dividing_loops.add(owner)
-    return divmods, dividing_loops, callers
+    return divmods, dividing_loops, callers, checkers
 
 
 def test_one_division_chain_serves_every_chain_routine():
-    divmods, dividing_loops, callers = set(), set(), set()
+    divmods, dividing_loops, callers, checkers = set(), set(), set(), set()
     for module in (euclid, cf_dynamics):
         found = _chain_use(inspect.getsource(module))
         divmods |= found[0]
         dividing_loops |= found[1]
         callers |= found[2]
+        checkers |= found[3]
     assert divmods == {"_division_chain"}
     # the two statistics scans keep their own remainder loops, which keep no
     # chain: summing over _division_chain took them 2-3x as long at a = 100437
     assert dividing_loops == {"_division_chain", "yao_knuth_stat", "average_cf_length"}
     assert callers >= {"gcd_remainder", "gcd_subtractive", "xgcd", "cf_expand", "dynamical_run"}
+    # the chain checks its own operands, so no reader checks them again
+    assert "_division_chain" in checkers
+    assert not callers & checkers
+    from_euclid = {
+        alias.name
+        for node in ast.parse(inspect.getsource(cf_dynamics)).body
+        if isinstance(node, ast.ImportFrom) and node.module == "euclid"
+        for alias in node.names
+    }
+    assert from_euclid == {"DEFAULT_STEP_BUDGET", "_division_chain"}
 
 
 def test_chain_checker_flags_a_second_chain():
@@ -657,7 +681,11 @@ def test_chain_checker_flags_a_second_chain():
             def split(self):
                 return divmod(*self)
 
+        def ratio(a, b):
+            _positive(a, "a")
+            return _division_chain(a, b)[0]
+
         q, r = divmod(7, 2)
         """
     )
-    assert _chain_use(source) == ({"Pair.split", "<module>"}, {"gcd"}, set())
+    assert _chain_use(source) == ({"Pair.split", "<module>"}, {"gcd"}, {"ratio"}, {"ratio"})

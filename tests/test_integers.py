@@ -94,6 +94,12 @@ def test_spf_domain_and_budget():
         smallest_prime_factor(0)
     with pytest.raises(ResourceLimitError):
         smallest_prime_factor(2**31 - 1, step_budget=100)
+    # trial division k tries d = 2k + 1, so p*p takes (p - 1) // 2 of them
+    p = 10007
+    assert smallest_prime_factor(p * p, step_budget=(p - 1) // 2) == p
+    refusal = r"^smallest_prime_factor\(100140049\): exceeded 5002 trial divisions$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        smallest_prime_factor(p * p, step_budget=(p - 1) // 2 - 1)
 
 
 def test_primes_up_to_budget():
@@ -153,6 +159,12 @@ def test_factorize_domain_and_budget():
         factorize(0)
     with pytest.raises(ResourceLimitError):
         factorize((2**31 - 1) * (2**31 - 1), step_budget=100)
+    p = 10007  # as in test_spf_domain_and_budget
+    assert factorize(p * p, step_budget=(p - 1) // 2).factors == ((p, 2),)
+    with pytest.raises(
+        ResourceLimitError, match=r"^factorize\(100140049\): exceeded 5002 trial divisions$"
+    ):
+        factorize(p * p, step_budget=(p - 1) // 2 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The package namespace: its public names, and which modules a command loads."""
+"""The package namespace: its public names, which modules a command loads,
+and the budget keyword of every primitive that takes one."""
 
 import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -178,3 +180,54 @@ def test_no_source_module_imports_dataclasses():
         imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
         imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
         assert "dataclasses" not in imported, path.name
+
+
+# ---------------------------------------------------------------------------
+# budgets
+
+# Arguments on which each public primitive with a budget keyword completes
+# within a budget of 10**6, and so reaches its budget check.
+BUDGETED = {
+    "average_cf_length": (10,),
+    "classify_perfect": (28,),
+    "composite_runs": (30,),
+    "coprime_by_prop1": (9, 4),
+    "division_from_bezout": (240, 46, euclidkit.BezoutCertificate(240, 46, 2, -9, 47)),
+    "dynamical_run": (21, 13),
+    "euclid_prime_extension": ([2, 3],),
+    "factorize": (360,),
+    "gcd_subtractive": (240, 46),
+    "grimm_assign": (89, 7),
+    "grimm_scan": (100,),
+    "interval_equivalence_scan": (50,),
+    "lucas_lehmer": (7,),
+    "perfect_from_mersenne": (7,),
+    "perfect_scan": (100,),
+    "prime_interval_equivalence": (10,),
+    "primes_up_to": (10,),
+    "reciprocity_scan": (10,),
+    "sigma": (28,),
+    "smallest_prime_factor": (92,),  # even: the budget is checked before the shortcut
+    "yao_knuth_stat": (10,),
+}
+
+
+def _budget_keyword(op) -> str | None:
+    names = [name for name in inspect.signature(op).parameters if name.endswith("_budget")]
+    return names[0] if names else None
+
+
+def test_every_budgeted_primitive_is_listed():
+    listed = {name for name in PUBLIC_NAMES if inspect.isfunction(getattr(euclidkit, name))}
+    assert {name for name in listed if _budget_keyword(getattr(euclidkit, name))} == set(BUDGETED)
+
+
+@pytest.mark.parametrize("budget", ["10", 1.5, True], ids=["str", "float", "bool"])
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_budgets_must_be_integers(name, budget):
+    op, args = getattr(euclidkit, name), BUDGETED[name]
+    keyword = _budget_keyword(op)
+    op(*args, **{keyword: 10**6})
+    refusal = f"^budget must be an integer, got {type(budget).__name__}$"
+    with pytest.raises(euclidkit.DomainError, match=refusal):
+        op(*args, **{keyword: budget})

@@ -315,7 +315,9 @@ def test_witness_kernel_takes_no_division(kernel):
 
 def test_prime_side_takes_no_gcd():
     read, names = _names_reached(_window_flags, primes_up_to)
-    assert read == {"_window_flags", "primes_up_to", "_at_least", "_integer", "_shown", "_within"}
+    assert read == {
+        "_window_flags", "primes_up_to", "_at_least", "_integer", "_shown", "_within", "_budget"
+    }
     assert "gcd" not in names
 
 
