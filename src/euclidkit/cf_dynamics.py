@@ -67,21 +67,16 @@ def cf_expand(a: int, b: int) -> ContinuedFraction:
 
 def _validate_quotients(cf) -> tuple[int, ...]:
     quotients = tuple(cf.quotients) if isinstance(cf, ContinuedFraction) else tuple(cf)
-    # one pass in C for the common case; the loop below names any fault
-    if (
-        set(map(type, quotients)) == {int}
-        and quotients[0] >= 0
-        and min(quotients[1:], default=1) >= 1
-    ):
-        return quotients
     if not quotients:
         raise DomainError("a continued fraction needs at least one quotient")
-    for i, q in enumerate(quotients):
-        _integer(q, "quotients[i]")
-        if i == 0 and q < 0:
-            raise DomainError(f"the leading quotient must be >= 0, got {_shown(q)}")
-        if i > 0 and q < 1:
-            raise DomainError(f"quotients after the first must be >= 1, got {_shown(q)}")
+    if set(map(type, quotients)) != {int}:
+        for q in quotients:
+            _integer(q, "quotients[i]")
+    if quotients[0] < 0:
+        raise DomainError(f"the leading quotient must be >= 0, got {_shown(quotients[0])}")
+    if min(quotients[1:], default=1) < 1:
+        q = next(q for q in quotients[1:] if q < 1)
+        raise DomainError(f"quotients after the first must be >= 1, got {_shown(q)}")
     return quotients
 
 

@@ -33,18 +33,13 @@ class Report:
     """Everything a subcommand produced; rows and summary hold raw values."""
 
     def __init__(
-        self,
-        command: str,
-        parameters: dict[str, str] | None = None,
-        rows: list[dict[str, object]] | None = None,
-        summary: dict[str, object] | None = None,
-        violations: list[str] | None = None,
+        self, command: str, parameters: dict | None = None, violations: list | None = None
     ) -> None:
         self.command = command
-        self.parameters = {} if parameters is None else parameters
-        self.rows = [] if rows is None else rows
-        self.summary = {} if summary is None else summary
-        self.violations = [] if violations is None else violations
+        self.parameters: dict[str, str] = {} if parameters is None else parameters
+        self.rows: list[dict[str, object]] = []
+        self.summary: dict[str, object] = {}
+        self.violations: list[str] = [] if violations is None else violations
 
 
 def _field(value) -> str:

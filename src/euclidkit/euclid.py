@@ -214,10 +214,7 @@ def gcd_many(values) -> int:
         raise DomainError("gcd_many needs at least one value")
     for v in vals:
         _positive(v, "values[i]")
-    g = vals[0]
-    for v in vals[1:]:
-        g = math.gcd(g, v)
-    return g
+    return math.gcd(*vals)
 
 
 def lcm(a: int, b: int) -> int:

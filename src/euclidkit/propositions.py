@@ -5,7 +5,7 @@ with their Mersenne structure."""
 from __future__ import annotations
 
 from enum import Enum
-from math import isqrt
+from math import isqrt, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -57,9 +57,7 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
     Requires distinct inputs unless both are 1; equal inputs above 1 measure
     each other and the chain never alternates.
     """
-    if _integer(a, "a") == _integer(b, "b"):
-        if a == 1:
-            return True
+    if _integer(a, "a") == _integer(b, "b") != 1:
         raise DomainError(
             "coprime_by_prop1 needs distinct inputs unless both are 1,"
             f" got ({_shown(a)}, {_shown(b)})"
@@ -99,10 +97,7 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
             raise DomainError(f"euclid_prime_extension needs primes, got {_shown(p)}")
     if len(set(plist)) != len(plist):
         raise DomainError("euclid_prime_extension needs distinct primes")
-    e = 1
-    for p in plist:
-        e *= p
-    e += 1
+    e = prod(plist) + 1
     new_prime = smallest_prime_factor(e, step_budget=step_budget)
     assert new_prime not in set(plist)  # it would divide both e and e - 1
     return EuclidExtension(tuple(plist), e, new_prime)

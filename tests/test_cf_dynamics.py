@@ -96,6 +96,9 @@ def test_cf_rejects_malformed_quotients():
         ((-1, 2), "the leading quotient must be >= 0, got -1"),
         ((3, 0), "quotients after the first must be >= 1, got 0"),
         ((2.0,), "quotients[i] must be an integer, got float"),
+        # two faults: the type fault is named first
+        ((-1, 2.0), "quotients[i] must be an integer, got float"),
+        ((3, 0, 2.5), "quotients[i] must be an integer, got float"),
     ],
 )
 def test_cf_value_names_each_malformed_quotient(quotients, message):

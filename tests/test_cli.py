@@ -652,6 +652,62 @@ def test_grimm_scan_flags_a_run_that_fails_re_validation(capsys, monkeypatch, fm
     assert "admits no distinct prime assignment" not in out
 
 
+GRIMM_INFEASIBLE_GOLDENS = {
+    "text": "grimm  format=text m=89 n=7\nmatched = false\n"
+    "VIOLATION: run 89+1..89+7 admits no distinct prime assignment\n",
+    "report": "command: grimm\nparam format: report\nparam m: 89\nparam n: 7\n"
+    "summary matched: false\n"
+    "violation: run 89+1..89+7 admits no distinct prime assignment\n",
+}
+
+GRIMM_SCAN_INFEASIBLE_GOLDENS = {
+    "text": "grimm  format=text scan=10\n"
+    "  m=3 n=1 matched=true assignment=2\n"
+    "  m=5 n=1 matched=true assignment=2\n"
+    "  m=7 n=3 matched=false assignment=\n"
+    "runs = 3\nmatched_runs = 2\n"
+    "VIOLATION: run 7+1..7+3 admits no distinct prime assignment\n",
+    "report": "command: grimm\nparam format: report\nparam scan: 10\n"
+    "row m=3 n=1 matched=true assignment=2\n"
+    "row m=5 n=1 matched=true assignment=2\n"
+    "row m=7 n=3 matched=false assignment=\n"
+    "summary runs: 3\nsummary matched_runs: 2\n"
+    "violation: run 7+1..7+3 admits no distinct prime assignment\n",
+}
+
+GRIMM_UNVALIDATED_GOLDENS = {
+    "text": "grimm  format=text m=89 n=7\nmatched = true\n"
+    "assignment = 3,7,23,31,47,5,2\nvalidated = false\n"
+    "VIOLATION: assignment failed independent re-validation\n",
+    "report": "command: grimm\nparam format: report\nparam m: 89\nparam n: 7\n"
+    "summary matched: true\nsummary assignment: 3,7,23,31,47,5,2\n"
+    "summary validated: false\n"
+    "violation: assignment failed independent re-validation\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_grimm_reports_an_infeasible_window(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sequences, "grimm_assign", lambda m, n, step_budget: None)
+    code, out, _ = run_main(capsys, "grimm", "89", "7", "--format", fmt)
+    assert (code, out) == (1, GRIMM_INFEASIBLE_GOLDENS[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_grimm_scan_reports_an_infeasible_run(capsys, monkeypatch, fmt):
+    rows = [*sequences.grimm_scan(10)[:-1], (7, 3, False, (), False)]  # last run infeasible
+    monkeypatch.setattr(sequences, "grimm_scan", lambda limit, sieve_budget: rows)
+    code, out, _ = run_main(capsys, "grimm", "--scan", "10", "--format", fmt)
+    assert (code, out) == (1, GRIMM_SCAN_INFEASIBLE_GOLDENS[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_grimm_flags_a_window_that_fails_re_validation(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sequences, "verify_assignment", lambda result, **_: False)
+    code, out, _ = run_main(capsys, "grimm", "89", "7", "--format", fmt)
+    assert (code, out) == (1, GRIMM_UNVALIDATED_GOLDENS[fmt])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -231,3 +231,22 @@ def test_budgets_must_be_integers(name, budget):
     refusal = f"^budget must be an integer, got {type(budget).__name__}$"
     with pytest.raises(euclidkit.DomainError, match=refusal):
         op(*args, **{keyword: budget})
+
+
+@pytest.mark.parametrize(
+    "budget, refusal",
+    [
+        ("10", "budget must be an integer, got str"),
+        (1.5, "budget must be an integer, got float"),
+        (True, "budget must be an integer, got bool"),
+        (-1, None),
+    ],
+    ids=["str", "float", "bool", "negative"],
+)
+def test_coprime_by_prop1_checks_its_budget_at_one_one(budget, refusal):
+    # (1, 1) walks the subtraction chain like any other pair
+    assert euclidkit.coprime_by_prop1(1, 1)
+    error = euclidkit.ResourceLimitError if refusal is None else euclidkit.DomainError
+    with pytest.raises(error) as exc:
+        euclidkit.coprime_by_prop1(1, 1, step_budget=budget)
+    assert refusal is None or str(exc.value) == refusal
