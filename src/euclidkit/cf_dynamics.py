@@ -8,7 +8,8 @@ import math
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, _at_least, _budget, _integer, _shown, _within
+from .errors import DomainError, ResourceLimitError, _at_least, _budget, _integer, _items, _shown
+from .errors import _within
 from .euclid import DEFAULT_STEP_BUDGET, _division_chain
 
 DEFAULT_SCAN_BUDGET = 10**6
@@ -66,7 +67,9 @@ def cf_expand(a: int, b: int) -> ContinuedFraction:
 
 
 def _validate_quotients(cf) -> tuple[int, ...]:
-    quotients = tuple(cf.quotients) if isinstance(cf, ContinuedFraction) else tuple(cf)
+    if isinstance(cf, ContinuedFraction):
+        cf = cf.quotients
+    quotients = _items(cf, "cf_value")
     if not quotients:
         raise DomainError("a continued fraction needs at least one quotient")
     if set(map(type, quotients)) != {int}:

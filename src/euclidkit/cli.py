@@ -346,22 +346,23 @@ _GROUPS = {"stats": ("corpus statistics", "stat")}  # group -> (help, dest of it
 
 
 def _build_parser(argv: list[str]) -> _Parser:
-    """The parser for argv. Every command gets its subparser, so --help and
-    an invalid choice list them all, but only the command whose name (one or
-    two words) starts argv gets its arguments: argparse picks a subparser by
-    those exact words, so no other one can run."""
+    """The parser for argv. When argv starts with a command's name (one or
+    two words), that command is the only subparser, since argparse picks a
+    subparser by those exact words and no other one can run. Otherwise
+    every command gets a bare subparser, so that --help and an invalid
+    choice list them all."""
+    named = [c for c in COMMANDS if argv[: len(c.name.split())] == c.name.split()]
     parser = _Parser(prog="euclidkit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     nested = {"": subs}
-    for command in COMMANDS:
+    for command in named or COMMANDS:
         group, _, leaf = command.name.rpartition(" ")
         if group not in nested:
             group_help, dest = _GROUPS[group]
             group_parser = subs.add_parser(group, help=group_help)
             nested[group] = group_parser.add_subparsers(dest=dest, required=True)
         p = nested[group].add_parser(leaf, help=command.handler.__doc__)
-        words = command.name.split()
-        if argv[: len(words)] != words:
+        if not named:
             continue
         for token in command.arguments.split():
             flag = token.rstrip("?*+")

@@ -4,12 +4,17 @@ a limit."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _gcd
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, _at_least, _integer, _shown, _within
 
-DEFAULT_SCAN_LIMIT = 1000  # reciprocity_scan's largest modulus by default: about 10 s
+# Each function that builds a Fraction imports fractions (which imports
+# decimal) itself, so a scan that builds none loads neither.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+DEFAULT_SCAN_LIMIT = 1000  # reciprocity_scan's largest modulus by default: about 5 s
 
 
 def sawtooth(x) -> Fraction:
@@ -17,6 +22,8 @@ def sawtooth(x) -> Fraction:
 
     Exact: accepts anything Fraction accepts, floors toward minus infinity.
     """
+    from fractions import Fraction
+
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
@@ -41,6 +48,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
     Evaluated in integer arithmetic over the common denominator 4*k*k.
     """
+    from fractions import Fraction
+
     _integer(h, "h")
     _at_least(k, "k", 1, "dedekind_sum")
     return Fraction(_terms(h, k), 4 * k * k)
@@ -52,6 +61,8 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
     Both sums are taken term by term, not by reciprocity, and the residual
     is one fraction over 12*h*h*k*k (see _residual_numerator).
     """
+    from fractions import Fraction
+
     _integer(h, "h")
     _integer(k, "k")
     if h < 1 or k < 1:
@@ -76,16 +87,19 @@ def _row(k: int) -> list[int | None]:
     gcd(h, k) > 1 (T(0, 1) = 0: the empty sum).
 
     Straight from the definition, as _terms sums it, with a*h mod k stepped
-    by addition, folded by two properties of the sawtooth: it is odd, so
-    a and k - a give the same term and the sum over a < k/2 is doubled; and
-    h and k - h give opposite terms, so T(k - h, k) = -T(h, k).
+    by addition. Each fold below re-indexes that one sum; none is
+    reciprocity. The sawtooth is odd, so a and k - a give the same term and
+    the sum over a < k/2 is doubled; h and k - h give opposite terms, so
+    T(k - h, k) = -T(h, k); and with g*h = 1 mod k, the term of a for g is
+    the term of a*g for h, and a -> a*g permutes the nonzero residues, so
+    T(g, k) = T(h, k). One sum fills its whole orbit {h, k - h, g, k - g}.
     """
     row: list[int | None] = [None] * k
     if k == 1:
         row[0] = 0
     half = (k - 1) // 2
     for h in range(1, k // 2 + 1):
-        if _gcd(h, k) != 1:
+        if row[h] is not None or _gcd(h, k) != 1:
             continue
         total = 0
         ah = 0
@@ -94,8 +108,9 @@ def _row(k: int) -> list[int | None]:
             if ah >= k:
                 ah -= k
             total += (2 * a - k) * (2 * ah - k)
-        row[h] = 2 * total
-        row[k - h] = -2 * total
+        g = pow(h, -1, k)
+        row[h] = row[g] = 2 * total
+        row[k - h] = row[k - g] = -2 * total
     return row
 
 
@@ -107,8 +122,9 @@ def reciprocity_scan(
     Returns (pairs_checked, [(h, k, residual), ...]) with the nonzero
     residuals, k ascending, then h. One _row per modulus gives T(h, k);
     T(k, h) is read off the row of modulus h as T(k mod h, h), since the
-    sawtooth has period 1. Every sum is definitional, so a wrong term shows
-    as a nonzero residual. A limit above scan_budget (default
+    sawtooth has period 1. Every sum is definitional, folded only by
+    re-indexing its terms (see _row), never by reciprocity, so a wrong term
+    shows as a nonzero residual. A limit above scan_budget (default
     DEFAULT_SCAN_LIMIT) is refused before any row is built.
     """
     _at_least(limit, "limit", 0, "reciprocity_scan")
@@ -126,5 +142,7 @@ def reciprocity_scan(
             pairs += 1
             numerator = _residual_numerator(h, k, t1, rows[h][k % h])
             if numerator:
+                from fractions import Fraction
+
                 nonzero.append((h, k, Fraction(numerator, 12 * h * h * k * k)))
     return pairs, nonzero

@@ -26,6 +26,16 @@ def _integer(value: int, name: str) -> int:
     return value
 
 
+def _items(values, caller: str) -> tuple:
+    """values as a tuple (a tuple itself, uncopied); DomainError when it is
+    not iterable at all."""
+    try:
+        iter(values)
+    except TypeError:
+        raise DomainError(f"{caller} needs a sequence, got {type(values).__name__}") from None
+    return tuple(values)
+
+
 def _at_least(value: int, name: str, least: int, caller: str) -> None:
     """Check that value, caller's argument name, is an integer >= least."""
     if _integer(value, name) < least:

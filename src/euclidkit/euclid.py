@@ -20,7 +20,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import CertificateMismatchError, DomainError, ResourceLimitError
-from .errors import _budget, _integer, _shown
+from .errors import _budget, _integer, _items, _shown
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -209,7 +209,7 @@ def xgcd(a: int, b: int) -> BezoutCertificate:
 
 def gcd_many(values) -> int:
     """Left fold of the pairwise gcd over a non-empty list."""
-    vals = list(values)
+    vals = _items(values, "gcd_many")
     if not vals:
         raise DomainError("gcd_many needs at least one value")
     for v in vals:

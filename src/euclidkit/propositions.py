@@ -15,6 +15,7 @@ from .errors import (
     _at_least,
     _budget,
     _integer,
+    _items,
     _shown,
     _within,
 )
@@ -91,7 +92,7 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
     E = 1 + product leaves remainder 1 on division by every input, so its
     smallest prime factor is new. The empty list yields E = 2.
     """
-    plist = sorted(_integer(p, "primes[i]") for p in primes)
+    plist = sorted(_integer(p, "primes[i]") for p in _items(primes, "euclid_prime_extension"))
     for p in plist:
         if p < 2 or smallest_prime_factor(p) != p:
             raise DomainError(f"euclid_prime_extension needs primes, got {_shown(p)}")

@@ -9,7 +9,7 @@ from math import ceil, gcd, isqrt, log, perm, prod
 from operator import eq, lt, mod
 from typing import NamedTuple
 
-from .errors import DomainError, _at_least, _integer, _shown, _within
+from .errors import DomainError, _at_least, _integer, _items, _shown, _within
 from .integers import (
     DEFAULT_SIEVE_LIMIT,
     _least_primes,
@@ -50,7 +50,7 @@ class GrimmAssignment(NamedTuple):
 def _increasing_naturals(seq) -> tuple[int, ...]:
     """seq as a tuple, checked to be a non-empty, strictly increasing
     sequence of naturals >= 1."""
-    values = tuple(seq)
+    values = _items(seq, "w_witness")
     if not values:
         raise DomainError("w_witness needs a non-empty sequence")
     if set(map(type, values)) != {int}:

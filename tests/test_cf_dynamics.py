@@ -107,6 +107,11 @@ def test_cf_value_names_each_malformed_quotient(quotients, message):
     assert str(exc.value) == message
 
 
+def test_cf_value_refuses_a_value_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^cf_value needs a sequence, got int$"):
+        cf_value(5)
+
+
 # ---------------------------------------------------------------------------
 # partial-quotient statistics
 

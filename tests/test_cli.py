@@ -965,6 +965,18 @@ def test_error_report_goes_to_out(capsys, tmp_path):
     )
 
 
+# An invalid choice fails the parse before --format is read, so both formats
+# give the bare layout.
+BOGUS_GOLDEN = (
+    "usage\nVIOLATION: argument command: invalid choice: 'bogus' (choose from 'gcd', 'xgcd', "
+    "'div-from-bezout', 'lowest-terms', 'cf', 'stats', 'dynamics', 'dedekind', "
+    "'reciprocity-scan', 'perfect', 'euclid-extend', 'wseq', 'interval-equiv', 'grimm', 'nonw')\n"
+)
+STATS_BOGUS_GOLDEN = (
+    "usage\nVIOLATION: argument stat: invalid choice: 'bogus' (choose from 'yao-knuth')\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -990,6 +1002,12 @@ def test_error_report_goes_to_out(capsys, tmp_path):
             "interval-equiv  format=text\n"
             "VIOLATION: interval-equiv needs m or --scan, not both\n",
             id="interval-equiv-neither",
+        ),
+        pytest.param(["bogus"], BOGUS_GOLDEN, id="bogus-text"),
+        pytest.param(["bogus", "--format", "report"], BOGUS_GOLDEN, id="bogus-report"),
+        pytest.param(["stats", "bogus"], STATS_BOGUS_GOLDEN, id="stats-bogus-text"),
+        pytest.param(
+            ["stats", "bogus", "--format", "report"], STATS_BOGUS_GOLDEN, id="stats-bogus-report"
         ),
     ],
 )
@@ -1078,6 +1096,31 @@ def test_command_help_names_every_declared_argument(capsys, monkeypatch, command
     assert out.startswith(f"usage: euclidkit {command.name} [-h]")
     for token in [*command.arguments.split(), "--format", "--out"]:
         assert f"\n  {token.rstrip('?*+')}" in out, token
+
+
+def _registered(parser) -> list[str]:
+    """The command names a parser has a subparser for, "group leaf" when nested."""
+    names = []
+    for action in parser._subparsers._group_actions if parser._subparsers else []:
+        for name, sub in action.choices.items():
+            names += [f"{name} {leaf}" for leaf in _registered(sub)] or [name]
+    return names
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda command: command.name)
+def test_the_parser_registers_only_the_command_argv_names(command):
+    assert _registered(cli._build_parser([*command.name.split(), "1"])) == [command.name]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"], ["stats", "bogus"]],
+    ids=["empty", "help", "bogus", "stats-bogus"],
+)
+def test_the_parser_registers_every_command_when_argv_names_none(argv):
+    names = [command.name for command in cli.COMMANDS]
+    assert len(names) == 15
+    assert _registered(cli._build_parser(argv)) == names
 
 
 # ---------------------------------------------------------------------------

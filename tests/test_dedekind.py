@@ -146,15 +146,49 @@ def test_reciprocity_scan_matches_reciprocity_residual_for_every_limit_to_60():
         assert reciprocity_scan(limit) == (len(upto), [(h, k, r) for h, k, r in upto if r])
 
 
-def test_row_matches_the_term_by_term_oracle_below_60():
-    for k in range(1, 60):
+def test_row_matches_the_term_by_term_oracle_to_300():
+    # Every entry, summed or filled by a fold, against an unfolded sum: the
+    # Fraction oracle below 60, and from there _terms, which
+    # test_dedekind_sum_matches_term_by_term_oracle pins to it (the oracle
+    # alone would take minutes up to 300).
+    for k in range(1, 301):
         row = dedekind._row(k)
         assert len(row) == k
         for h in range(k):
-            if builtin_gcd(h, k) == 1:
+            if builtin_gcd(h, k) != 1:
+                assert row[h] is None, (h, k)
+            elif k < 60:
                 assert row[h] == 4 * k * k * dedekind_by_terms(h, k), (h, k)
             else:
-                assert row[h] is None, (h, k)
+                assert row[h] == dedekind._terms(h, k), (h, k)
+
+
+@pytest.mark.parametrize(
+    "k, self_inverse",
+    [
+        pytest.param(24, 8, id="every-unit-its-own-inverse"),
+        pytest.param(120, 16, id="many-units-their-own-inverse"),
+        pytest.param(251, 2, id="prime"),
+    ],
+)
+def test_row_matches_the_oracle_on_every_orbit_shape(k, self_inverse):
+    # h*h = 1 mod k makes the orbit {h, k - h, h^-1, k - h^-1} the pair {h, k - h}
+    units = [h for h in range(1, k) if builtin_gcd(h, k) == 1]
+    assert sum(h * h % k == 1 for h in units) == self_inverse
+    row = dedekind._row(k)
+    for h in units:
+        assert row[h] == 4 * k * k * dedekind_by_terms(h, k), h
+
+
+def test_row_fills_an_inverse_above_half_from_the_sum_at_h():
+    # 2 * 6 = 1 mod 11: the walk over h <= 5 sums at 2 and fills 2, 9, 6 and 5
+    row = dedekind._row(11)
+    assert row[2] == row[6] == -row[5] == -row[9] == 4 * 11 * 11 * dedekind_by_terms(6, 11)
+    assert row[6] == 110
+
+
+def test_reciprocity_scan_to_400_finds_no_nonzero_residual():
+    assert reciprocity_scan(400) == (48677, [])
 
 
 def test_a_planted_wrong_term_shows_as_a_nonzero_residual(monkeypatch, capsys):

@@ -496,6 +496,11 @@ def test_zero_and_negative_arguments_are_domain_errors():
         gcd_many([3, 0])
 
 
+def test_gcd_many_refuses_a_value_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^gcd_many needs a sequence, got int$"):
+        gcd_many(5)
+
+
 def test_bool_and_non_integer_arguments_are_domain_errors():
     with pytest.raises(DomainError, match="^a must be an integer, got bool$"):
         gcd_remainder(True, 1)

@@ -117,27 +117,26 @@ def test_an_unknown_name_raises_attribute_error():
 # perfect scan needs. numpy imports inspect itself.
 WATCHED = ["dataclasses", "inspect", "numpy"]
 
-_REPORT = (
-    "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'euclidkit'),"
-    f" [m for m in {WATCHED!r} if m in sys.modules]]))"
-)
 
-
-def _loaded(code: str) -> tuple[set[str], set[str]]:
-    """(euclidkit modules loaded, WATCHED modules loaded) after running code
+def _loaded(code: str, watched: list[str] = WATCHED) -> tuple[set[str], set[str]]:
+    """(euclidkit modules loaded, watched modules loaded) after running code
     in a new interpreter."""
+    report = (
+        "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'euclidkit'),"
+        f" [m for m in {watched!r} if m in sys.modules]]))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}\n{_REPORT}"],
+        [sys.executable, "-c", f"import json, sys\n{code}\n{report}"],
         capture_output=True,
         text=True,
         check=True,
     )
-    modules, watched = json.loads(result.stdout.splitlines()[-1])
-    return set(modules), set(watched)
+    modules, loaded = json.loads(result.stdout.splitlines()[-1])
+    return set(modules), set(loaded)
 
 
-def _after_command(*argv: str) -> tuple[set[str], set[str]]:
-    return _loaded(f"from euclidkit import cli\ncli.main({list(argv)!r})")
+def _after_command(*argv: str, watched: list[str] = WATCHED) -> tuple[set[str], set[str]]:
+    return _loaded(f"from euclidkit import cli\ncli.main({list(argv)!r})", watched)
 
 
 CLI_BASE = {"euclidkit", "euclidkit.cli", "euclidkit.errors"}
@@ -153,6 +152,22 @@ def test_gcd_loads_only_the_euclid_layer():
 
 def test_dedekind_loads_only_the_dedekind_layer():
     assert _after_command("dedekind", "5", "7") == (CLI_BASE | {"euclidkit.dedekind"}, set())
+
+
+def test_the_reciprocity_scan_loads_neither_fractions_nor_decimal():
+    # dedekind imports fractions, which imports decimal, only to build a Fraction
+    watched = ["fractions", "decimal"]
+    assert _after_command("reciprocity-scan", "--limit", "20", watched=watched)[1] == set()
+
+
+def test_dedekind_builds_its_fraction_in_a_new_interpreter():
+    result = subprocess.run(
+        [sys.executable, "-m", "euclidkit", "dedekind", "5", "101", "--format", "report"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.endswith("summary value: 125/101\n")
 
 
 def test_perfect_and_euclid_extend_load_only_the_propositions_layer():

@@ -112,6 +112,11 @@ def test_extension_rejects_non_primes_and_duplicates():
         euclid_prime_extension([2, 2])
 
 
+def test_extension_refuses_a_value_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^euclid_prime_extension needs a sequence, got int$"):
+        euclid_prime_extension(5)
+
+
 # ---------------------------------------------------------------------------
 # perfect numbers
 

@@ -178,6 +178,11 @@ def test_w_witness_domain():
         w_witness([0, 1])
 
 
+def test_w_witness_refuses_a_value_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^w_witness needs a sequence, got int$"):
+        w_witness(5)
+
+
 # ---------------------------------------------------------------------------
 # primes between squares vs witness windows
 
@@ -293,6 +298,7 @@ def test_witness_side_tests_no_primality():
         "w_witness",
         "_witness_index",
         "_increasing_naturals",
+        "_items",
         "_at_least",
         "_integer",
         "_shown",
