@@ -152,30 +152,37 @@ def interval_equivalence_scan(
     return verdicts
 
 
+def _augment(
+    pos: int, divisors: list[list[int]], owner: dict[int, int], banned: set[int]
+) -> bool:
+    """One augmenting-path search (Kuhn) from pos: its primes in ascending
+    order, each owned one re-placed in turn. Marks every prime it reaches in
+    banned, and on success gives pos a prime through owner (prime ->
+    position). A module-level function, so a search leaves no reference
+    cycle behind."""
+    for p in divisors[pos]:
+        if p in banned:
+            continue
+        banned.add(p)
+        if p not in owner or _augment(owner[p], divisors, owner, banned):
+            owner[p] = pos
+            return True
+    return False
+
+
 def _match(divisors: list[list[int]]) -> tuple[tuple[int, ...] | None, list[int]]:
     """Distinct primes, one from each divisors[i], by augmenting-path
-    bipartite matching (Kuhn): (assignment, []), or (None, stuck) if there
-    are none. Positions and primes are tried in ascending order, so the
+    bipartite matching (_augment): (assignment, []), or (None, stuck) if
+    there are none. Positions and primes are tried in ascending order, so the
     result is deterministic. A failed search leaves owner as it was and bans
     every prime of each position it reaches, each prime owned by a distinct
     reached position: stuck, the failed position and those owners, draws on
     len(stuck) - 1 primes, Hall's certificate that no choice exists."""
     owner: dict[int, int] = {}  # prime -> position currently using it
-
-    def try_assign(pos: int, banned: set[int]) -> bool:
-        for p in divisors[pos]:
-            if p in banned:
-                continue
-            banned.add(p)
-            if p not in owner or try_assign(owner[p], banned):
-                owner[p] = pos
-                return True
-        return False
-
     for pos, primes in enumerate(divisors):
-        if primes and primes[0] not in owner:  # what try_assign would choose first
+        if primes and primes[0] not in owner:  # what _augment would choose first
             owner[primes[0]] = pos
-        elif not try_assign(pos, banned := set()):
+        elif not _augment(pos, divisors, owner, banned := set()):
             return None, [pos, *(owner[p] for p in banned)]
     assignment: list[int] = [0] * len(divisors)
     for p, pos in owner.items():
@@ -212,12 +219,25 @@ def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple
 
 
 def verify_assignment(result: GrimmAssignment, *, _proven: set[int] | None = None) -> bool:
-    """Re-check an assignment from scratch: length, distinctness,
-    divisibility, and primality by trial division. _proven is grimm_scan's
-    set of primes certified by gcd (see _certified_primes): they skip the
-    trial division. It holds primality only, so divisibility is checked on
-    every run, and a prime outside it is still trial-divided."""
-    start, length, assignment = result
+    """Re-check an assignment, a GrimmAssignment or any (start, length,
+    assignment) triple, from scratch: length, distinctness, divisibility,
+    and primality by trial division. _proven is grimm_scan's set of primes
+    certified by gcd (see _certified_primes): they skip the trial division.
+    It holds primality only, so divisibility is checked on every run, and a
+    prime outside it is still trial-divided. A record or an assignment that
+    is not iterable, a start below 0, a length below 1 and a field that is
+    not an int (a bool included) are refused as DomainError."""
+    start, length, assignment = _items(result, "verify_assignment")
+    ints = type(start) is type(length) is int and type(assignment) is tuple
+    if not (ints and set(map(type, assignment)) <= {int}):
+        _integer(start, "start")
+        _integer(length, "length")
+        assignment = _items(assignment, "verify_assignment")
+        for p in assignment:
+            _integer(p, "assignment[i]")
+    if start < 0 or length < 1:
+        _at_least(start, "start", 0, "verify_assignment")
+        _at_least(length, "length", 1, "verify_assignment")
     distinct = set(assignment)
     if len(assignment) != length or len(distinct) != length or 0 in distinct:
         return False
@@ -261,19 +281,23 @@ def _confirmed_match(divisors: list[list[int]], m: int) -> tuple[int, ...] | Non
     return assignment
 
 
-def _prime_divisors(n: int, table, bound: int) -> list[int]:
-    """Ascending distinct primes dividing n >= 1, read off a least-prime
-    table, up to the first one >= bound if there is one."""
-    out = []
-    while n > 1:
-        p = table[n]
-        out.append(p)
-        if p >= bound:
-            break
-        n //= p  # p = table[n] divides n
-        while n % p == 0:
-            n //= p
-    return out
+def _run_divisors(table, lo: int, hi: int, bound: int) -> list[list[int]]:
+    """For each v in lo .. hi - 1 (each >= 1), its ascending distinct primes,
+    read off a least-prime table, up to the first one >= bound if there is
+    one."""
+    lists = []
+    for v in range(lo, hi):
+        primes = []
+        while v > 1:
+            p = table[v]
+            primes.append(p)
+            if p >= bound:
+                break
+            v //= p  # p = table[v] divides v
+            while v % p == 0:
+                v //= p
+        lists.append(primes)
+    return lists
 
 
 def grimm_scan(limit: int, *, sieve_budget: int | None = None):
@@ -281,10 +305,11 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
 
     Returns a list of (m, n, matched, assignment, validated). One
     smallest-prime-factor table, up to the first prime past limit, gives the
-    runs and every element's prime divisors. An element's list stops at its
-    first prime p >= n: no other element of the run is a multiple of p, so
-    the matching takes p as soon as it reaches it, and a failed search
-    reaches only elements with no such prime, whose lists are whole. Every
+    runs and, one _run_divisors loop per run, every element's prime
+    divisors. An element's list stops at its first prime p >= n: no other
+    element of the run is a multiple of p, so the matching takes p as soon
+    as it reaches it, and a failed search reaches only elements with no such
+    prime, whose lists are whole. Every
     distinct assigned prime is certified once, by gcd (_certified_primes),
     and each assignment is re-checked by verify_assignment; an infeasible
     run is certified as in grimm_assign.
@@ -301,15 +326,14 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     for p, q in zip(primes, primes[1:]):
         n = q - p - 1
         if n:
-            divisors = [_prime_divisors(v, table, n) for v in range(p + 1, q)]
-            runs.append((p, n, _confirmed_match(divisors, p)))
+            runs.append((p, n, _confirmed_match(_run_divisors(table, p + 1, q, n), p)))
     proven = _certified_primes(set().union(*(a for _, _, a in runs if a is not None)))
     results = []
     for p, n, assignment in runs:
         if assignment is None:
             results.append((p, n, False, (), False))
         else:
-            validated = verify_assignment(GrimmAssignment(p, n, assignment), _proven=proven)
+            validated = verify_assignment((p, n, assignment), _proven=proven)
             results.append((p, n, True, assignment, validated))
     return results
 

@@ -492,6 +492,20 @@ def test_reciprocity_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == RECIPROCITY_SCAN_150_SHA256[fmt]
 
 
+# sha256 of `grimm --scan 100000` output in each format, the README size
+GRIMM_SCAN_100000_SHA256 = {
+    "text": "61dfcd1fe251f2c697a9d269d25701339799d79d09c04c4e4d1c7ad98077f5a1",
+    "report": "71dbcfe02e7d82ce6b5ebc305292c4be9669348038b8867fe09020d48273d85c",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "report"])
+def test_grimm_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
+    code, out, err = run_main(capsys, "grimm", "--scan", "100000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GRIMM_SCAN_100000_SHA256[fmt]
+
+
 def test_interval_equiv_scan():
     result = run_cli("interval-equiv", "--scan", "50", "--format", "report")
     assert result.returncode == 0

@@ -1,6 +1,7 @@
 """Coprime witnesses, the prime-between-squares equivalence, and composite runs."""
 
 import ast
+import gc
 import hashlib
 import inspect
 import random
@@ -40,7 +41,7 @@ from euclidkit.sequences import (
     _confirmed_match,
     _interval_sides,
     _match,
-    _prime_divisors,
+    _run_divisors,
     _witness_index,
 )
 from oracles import (
@@ -431,6 +432,34 @@ def test_verify_assignment_rejects_tampering():
     assert not verify_assignment(wrong_length)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (GrimmAssignment(7, True, (2,)), "length must be an integer, got bool"),
+        (GrimmAssignment(True, 1, (2,)), "start must be an integer, got bool"),
+        (GrimmAssignment(7, 3, (2, 3, True)), "assignment[i] must be an integer, got bool"),
+        (GrimmAssignment(-3, 1, (2,)), "verify_assignment needs start >= 0, got -3"),
+        (GrimmAssignment(7, 0, ()), "verify_assignment needs length >= 1, got 0"),
+        (("a", 1, (2,)), "start must be an integer, got str"),
+        ((7, 3, None), "verify_assignment needs a sequence, got NoneType"),
+        ((7, 3, "235"), "assignment[i] must be an integer, got str"),
+        (5, "verify_assignment needs a sequence, got int"),
+    ],
+)
+def test_verify_assignment_refuses_a_malformed_record(record, message):
+    with pytest.raises(DomainError) as exc:
+        verify_assignment(record)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError):
+        verify_assignment(record, _proven={2, 3, 5})
+
+
+def test_verify_assignment_takes_any_sequence_of_ints_as_the_assignment():
+    assert verify_assignment((7, 3, [2, 3, 5]))
+    assert verify_assignment((7, 3, iter((2, 3, 5))))
+    assert not verify_assignment((7, 3, [2, 5, 3]))
+
+
 def test_composite_runs_frozen_values():
     assert composite_runs(30) == [
         (3, 1),
@@ -489,6 +518,22 @@ def test_grimm_scan_honours_its_sieve_budget():
     assert len(grimm_scan(100, sieve_budget=100)) == 24
     with pytest.raises(ResourceLimitError, match=r"^grimm_scan\(101\): sieve limit is 100$"):
         grimm_scan(101, sieve_budget=100)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: grimm_scan(3000), lambda: grimm_assign(89, 7)], ids=["scan", "assign"]
+)
+def test_grimm_matching_leaves_no_garbage_cycles(call):
+    # a search that calls itself through a closure cell makes one cycle per
+    # window, which holds its divisor lists and owner map until the cyclic
+    # collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _hall_deficient(divisors, stuck) -> bool:
@@ -565,7 +610,7 @@ def test_a_bogus_infeasibility_certificate_raises(monkeypatch, call, run, certif
 def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     read, names = _names_reached(verify_assignment)
     assert "smallest_prime_factor" in read
-    assert not {"_least_primes", "primes_up_to", "_prime_divisors", "factorize"} & (read | names)
+    assert not {"_least_primes", "primes_up_to", "_run_divisors", "factorize"} & (read | names)
 
 
 def test_grimm_scan_certifies_each_distinct_prime_once(monkeypatch):
@@ -651,7 +696,7 @@ def test_prime_certificate_reaches_no_sieve_and_takes_no_division():
         "_least_primes",
         "primes_up_to",
         "_window_flags",
-        "_prime_divisors",
+        "_run_divisors",
         "factorize",
         "smallest_prime_factor",
         "divmod",
@@ -681,9 +726,9 @@ def test_matching_on_cut_divisor_lists_equals_matching_on_full_ones():
             infeasible += assignment is None
     assert infeasible > 100  # both branches were exercised
     table = _least_primes(0, array("I", range(5001)), primes_up_to(70))
-    for v in range(1, 5001):
-        for bound in (1, 2, 7, 30, 60):
-            assert _prime_divisors(v, table, bound) == _cut(prime_divisors_by_trial(v), bound)
+    whole = [prime_divisors_by_trial(v) for v in range(1, 5001)]
+    for bound in (1, 2, 7, 30, 60):
+        assert _run_divisors(table, 1, 5001, bound) == [_cut(primes, bound) for primes in whole]
 
 
 # ---------------------------------------------------------------------------
