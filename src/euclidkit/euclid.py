@@ -134,6 +134,9 @@ class BezoutCertificate(NamedTuple):
     y: int
 
     def holds(self) -> bool:
+        """Whether a*x + b*y == g. That shows only that gcd(a, b) divides g
+        (BezoutCertificate(4, 6, 4, 1, 0) holds); division_from_bezout is
+        what refuses a g that is not the gcd."""
         return self.a * self.x + self.b * self.y == self.g
 
 

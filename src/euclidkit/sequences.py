@@ -53,9 +53,8 @@ def _increasing_naturals(seq) -> tuple[int, ...]:
     values = _items(seq, "w_witness")
     if not values:
         raise DomainError("w_witness needs a non-empty sequence")
-    if set(map(type, values)) != {int}:
-        for v in values:
-            _integer(v, "values[i]")
+    for v in values:
+        _integer(v, "values[i]")
     if min(values) < 1:
         _at_least(next(v for v in values if v < 1), "naturals", 1, "w_witness")
     if not all(map(lt, values, islice(values, 1, None))):
@@ -218,34 +217,32 @@ def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple
     return out
 
 
-def verify_assignment(result: GrimmAssignment, *, _proven: set[int] | None = None) -> bool:
-    """Re-check an assignment, a GrimmAssignment or any (start, length,
-    assignment) triple, from scratch: length, distinctness, divisibility,
-    and primality by trial division. _proven is grimm_scan's set of primes
-    certified by gcd (see _certified_primes): they skip the trial division.
-    It holds primality only, so divisibility is checked on every run, and a
-    prime outside it is still trial-divided. A record or an assignment that
-    is not iterable, a start below 0, a length below 1 and a field that is
-    not an int (a bool included) are refused as DomainError."""
-    start, length, assignment = _items(result, "verify_assignment")
-    ints = type(start) is type(length) is int and type(assignment) is tuple
-    if not (ints and set(map(type, assignment)) <= {int}):
-        _integer(start, "start")
-        _integer(length, "length")
-        assignment = _items(assignment, "verify_assignment")
-        for p in assignment:
-            _integer(p, "assignment[i]")
-    if start < 0 or length < 1:
-        _at_least(start, "start", 0, "verify_assignment")
-        _at_least(length, "length", 1, "verify_assignment")
+def _fits(start: int, length: int, assignment: tuple[int, ...]) -> bool:
+    """Whether assignment holds length distinct values, none 0, the i-th
+    dividing start + 1 + i: everything but primality."""
     distinct = set(assignment)
     if len(assignment) != length or len(distinct) != length or 0 in distinct:
         return False
-    if any(map(mod, range(start + 1, start + 1 + length), assignment)):
-        return False
-    proven = set() if _proven is None else _proven
-    return proven.issuperset(assignment) or all(
-        p in proven or (p >= 2 and smallest_prime_factor(p) == p) for p in assignment
+    return not any(map(mod, range(start + 1, start + 1 + length), assignment))
+
+
+def verify_assignment(result: GrimmAssignment) -> bool:
+    """Re-check an assignment, a GrimmAssignment or any (start, length,
+    assignment) triple, from scratch: its fit (_fits) and primality by trial
+    division. A record or assignment that is not iterable, a record without
+    3 fields, a start below 0, a length below 1 and a field that is not an
+    int (a bool included) are refused as DomainError, first fault first."""
+    fields = _items(result, "verify_assignment")
+    if len(fields) != 3:
+        raise DomainError(f"verify_assignment needs 3 fields, got {len(fields)}")
+    start, length, assignment = fields
+    _at_least(start, "start", 0, "verify_assignment")
+    _at_least(length, "length", 1, "verify_assignment")
+    assignment = _items(assignment, "verify_assignment")
+    for p in assignment:
+        _integer(p, "assignment[i]")
+    return _fits(start, length, assignment) and all(
+        p >= 2 and smallest_prime_factor(p) == p for p in assignment
     )
 
 
@@ -309,10 +306,10 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
     divisors. An element's list stops at its first prime p >= n: no other
     element of the run is a multiple of p, so the matching takes p as soon
     as it reaches it, and a failed search reaches only elements with no such
-    prime, whose lists are whole. Every
-    distinct assigned prime is certified once, by gcd (_certified_primes),
-    and each assignment is re-checked by verify_assignment; an infeasible
-    run is certified as in grimm_assign.
+    prime, whose lists are whole. Each assignment is re-checked for fit by
+    _fits, as verify_assignment checks it, and for primality by the gcd
+    certificate alone: every distinct assigned prime is certified once
+    (_certified_primes). An infeasible run is certified as in grimm_assign.
     A limit above sieve_budget is refused before anything is allocated.
     """
     _at_least(limit, "limit", 4, "grimm_scan")
@@ -333,7 +330,7 @@ def grimm_scan(limit: int, *, sieve_budget: int | None = None):
         if assignment is None:
             results.append((p, n, False, (), False))
         else:
-            validated = verify_assignment((p, n, assignment), _proven=proven)
+            validated = _fits(p, n, assignment) and proven.issuperset(assignment)
             results.append((p, n, True, assignment, validated))
     return results
 

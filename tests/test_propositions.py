@@ -1,5 +1,7 @@
 """Coprimality, the prime-divisor lemma, prime extension, and perfect numbers."""
 
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 from math import gcd as builtin_gcd
@@ -187,6 +189,20 @@ def test_perfect_scan_honours_its_sieve_budget():
         perfect_scan(10**4 + 1, sieve_budget=10**4)
     with pytest.raises(ResourceLimitError):
         perfect_scan(10**7 + 1)
+
+
+def test_perfect_scan_refuses_an_over_budget_limit_before_importing_numpy():
+    # this module imports numpy itself, so the check runs in a new interpreter
+    child = (
+        "import sys\n"
+        "from euclidkit import ResourceLimitError, perfect_scan\n"
+        "try:\n"
+        "    perfect_scan(10**7 + 1)\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert result.stdout == "perfect_scan(10000001): sieve limit is 10000000 False\n"
 
 
 @pytest.mark.parametrize("segment", [7, 64])

@@ -444,14 +444,16 @@ def test_verify_assignment_rejects_tampering():
         ((7, 3, None), "verify_assignment needs a sequence, got NoneType"),
         ((7, 3, "235"), "assignment[i] must be an integer, got str"),
         (5, "verify_assignment needs a sequence, got int"),
+        ((1, 2), "verify_assignment needs 3 fields, got 2"),
+        ((7, 3, (2, 3, 5), 0), "verify_assignment needs 3 fields, got 4"),
+        # several faults: the first faulty field is the one named
+        (GrimmAssignment(-3, True, (2,)), "verify_assignment needs start >= 0, got -3"),
     ],
 )
 def test_verify_assignment_refuses_a_malformed_record(record, message):
     with pytest.raises(DomainError) as exc:
         verify_assignment(record)
     assert str(exc.value) == message
-    with pytest.raises(DomainError):
-        verify_assignment(record, _proven={2, 3, 5})
 
 
 def test_verify_assignment_takes_any_sequence_of_ints_as_the_assignment():
@@ -514,9 +516,17 @@ def test_grimm_scan_rows_match_trial_division_to_3000():
     assert digest == "e3611c48610dcba598b58b802aabd11200d333ec7435a60b603b6b0221b18bdc"
 
 
-def test_grimm_scan_honours_its_sieve_budget():
+def test_grimm_scan_honours_its_sieve_budget(monkeypatch):
     assert len(grimm_scan(100, sieve_budget=100)) == 24
     with pytest.raises(ResourceLimitError, match=r"^grimm_scan\(101\): sieve limit is 100$"):
+        grimm_scan(101, sieve_budget=100)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the limit is refused before any search or sieve")
+
+    monkeypatch.setattr(sequences, "_least_primes", no_work)
+    monkeypatch.setattr(sequences, "smallest_prime_factor", no_work)
+    with pytest.raises(ResourceLimitError):
         grimm_scan(101, sieve_budget=100)
 
 
@@ -613,6 +623,29 @@ def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
     assert not {"_least_primes", "primes_up_to", "_run_divisors", "factorize"} & (read | names)
 
 
+def test_grimm_scan_checks_fit_itself_and_primality_by_certificate_alone():
+    read, names = _names_reached(grimm_scan)
+    assert {"_fits", "_certified_primes"} <= read
+    assert "verify_assignment" not in read | names
+    assert "_fits" in _names_reached(verify_assignment)[0]
+    assert list(inspect.signature(verify_assignment).parameters) == ["result"]
+
+
+def test_a_planted_composite_fails_its_row(monkeypatch):
+    rows = grimm_scan(100)
+    real_match = sequences._match
+
+    def tampered(divisors):
+        assignment, stuck = real_match(divisors)
+        if divisors == [_cut(prime_divisors_by_trial(v), 7) for v in range(90, 97)]:
+            return (assignment[0], 91, *assignment[2:]), stuck  # 91 = 7 * 13 fits
+        return assignment, stuck
+
+    monkeypatch.setattr(sequences, "_match", tampered)
+    planted = (89, 7, True, (3, 91, 23, 31, 47, 5, 2), False)
+    assert grimm_scan(100) == [planted if row[0] == 89 else row for row in rows]
+
+
 def test_grimm_scan_certifies_each_distinct_prime_once(monkeypatch):
     calls, seen = [], []
     certify = sequences._certified_primes
@@ -652,7 +685,7 @@ def _cut(primes: list[int], bound: int) -> list[int]:
 
 def test_a_prime_proven_by_an_earlier_run_is_still_checked_for_divisibility(monkeypatch):
     rows = grimm_scan(100)
-    # 11 passed trial division for an earlier run, and divides none of 90 .. 96
+    # 11 is certified for an earlier run, and divides none of 90 .. 96
     assert any(11 in assignment for m, _, _, assignment, _ in rows if m < 89)
     real_match = sequences._match
 
@@ -673,10 +706,6 @@ def test_verify_assignment_refuses_zero_and_one():
     # each divides nothing or everything, and neither is a prime
     assert not verify_assignment(GrimmAssignment(89, 7, (0, 7, 23, 31, 47, 5, 2)))
     assert not verify_assignment(GrimmAssignment(89, 7, (1, 7, 23, 31, 47, 5, 2)))
-    assert not verify_assignment(GrimmAssignment(89, 7, (1, 7, 23, 31, 47, 5, 2)), _proven={7})
-    good = grimm_assign(89, 7)
-    # a prime outside the proven set is trial-divided, not refused
-    assert verify_assignment(good, _proven=set()) and verify_assignment(good, _proven={2, 3})
 
 
 def test_certified_primes_match_trial_division_below_200000():
