@@ -138,10 +138,8 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
     time: q steps on one coordinate are one left-multiplication by
     [[1, -q], [0, 1]] or [[1, 0], [-q, 1]], so the orbit takes sum(q) steps.
     """
-    _integer(x, "x")
-    _integer(y, "y")
-    if x < 0 or y < 0:
-        raise DomainError(f"dynamical_run needs naturals, got ({_shown(x)}, {_shown(y)})")
+    _at_least(x, "x", 0, "dynamical_run")
+    _at_least(y, "y", 0, "dynamical_run")
     if x == 0 and y == 0:
         raise DomainError("dynamical_run needs a nonzero coordinate")
     budget = _budget(step_budget, DEFAULT_STEP_BUDGET)

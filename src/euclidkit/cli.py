@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     HypothesisFailedError,
     ResourceLimitError,
-    _at_least,
     _shown,
     rational_str,
 )
@@ -206,7 +205,6 @@ def _cmd_reciprocity_scan(args, report: Report) -> None:
     from . import dedekind
     if args.limit is None:
         raise UsageError("reciprocity-scan needs --limit")
-    _at_least(args.limit, "limit", 0, "reciprocity-scan")
     pairs, nonzero = dedekind.reciprocity_scan(args.limit, scan_budget=args.budget)
     for h, k, residual in nonzero:
         report.violations.append(f"nonzero residual at h={h} k={k}: {_field(residual)}")

@@ -20,11 +20,17 @@ DEFAULT_SCAN_LIMIT = 1000  # reciprocity_scan's largest modulus by default: abou
 def sawtooth(x) -> Fraction:
     """((x)): zero at every integer, otherwise x - floor(x) - 1/2.
 
-    Exact: accepts anything Fraction accepts, floors toward minus infinity.
+    Exact: accepts anything Fraction accepts but a bool, and refuses the
+    rest as DomainError; floors toward minus infinity.
     """
     from fractions import Fraction
 
-    x = Fraction(x)
+    try:
+        if isinstance(x, bool):  # an int, but True is not a number any caller means
+            raise TypeError
+        x = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"sawtooth needs a rational, got {type(x).__name__}") from None
     if x.denominator == 1:
         return Fraction(0)
     floor = x.numerator // x.denominator
@@ -63,10 +69,8 @@ def reciprocity_residual(h: int, k: int) -> Fraction:
     """
     from fractions import Fraction
 
-    _integer(h, "h")
-    _integer(k, "k")
-    if h < 1 or k < 1:
-        raise DomainError(f"reciprocity_residual needs h, k >= 1, got ({_shown(h)}, {_shown(k)})")
+    _at_least(h, "h", 1, "reciprocity_residual")
+    _at_least(k, "k", 1, "reciprocity_residual")
     if _gcd(h, k) != 1:
         raise DomainError(
             f"reciprocity_residual needs coprime h, k, got ({_shown(h)}, {_shown(k)})"

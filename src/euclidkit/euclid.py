@@ -272,10 +272,15 @@ def division_from_bezout(
     1 - x - y + floor(t/b) and the remainder is what that floor leaves of t.
     The floor comes from a doubling ladder (_ladder), and so does the gcd
     that validates g: a remainder chain whose remainders the ladder finds.
-    Each ladder may take step_budget doublings.
+    Each ladder may take step_budget doublings. cert may be any record of
+    the five fields a, b, g, x, y; anything else is a DomainError.
     """
     _positive(a, "a")
     _positive(b, "b")
+    fields = _items(cert, "division_from_bezout")
+    if len(fields) != 5:
+        raise DomainError(f"division_from_bezout needs 5 certificate fields, got {len(fields)}")
+    cert = BezoutCertificate(*fields)
     budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
 
     def pair() -> str:  # built only when a message needs it

@@ -71,13 +71,10 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
 
 def euclid_lemma_witness(p: int, a: int, b: int) -> LemmaWitness:
     """For prime p, report which factor of a*b it divides (preferring a)."""
-    _integer(p, "p")
-    _integer(a, "a")
-    _integer(b, "b")
-    if p < 2 or smallest_prime_factor(p) != p:
+    if _integer(p, "p") < 2 or smallest_prime_factor(p) != p:
         raise DomainError(f"euclid_lemma_witness needs a prime p, got {_shown(p)}")
-    if a < 1 or b < 1:
-        raise DomainError(f"euclid_lemma_witness needs a, b >= 1, got ({_shown(a)}, {_shown(b)})")
+    _at_least(a, "a", 1, "euclid_lemma_witness")
+    _at_least(b, "b", 1, "euclid_lemma_witness")
     if (a * b) % p != 0:
         return LemmaWitness.NEITHER
     if a % p == 0:
@@ -109,8 +106,6 @@ def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectC
     divisor sum by the independent sigma computation. On the proven prime
     2**p - 1, sigma's trial division takes (isqrt(2**p - 1) - 1) // 2 steps;
     when that exceeds step_budget, sigma's budget error is raised at once."""
-    if _integer(p, "p") < 2 or smallest_prime_factor(p) != p:
-        raise DomainError(f"perfect_from_mersenne needs a prime exponent, got {_shown(p)}")
     if not lucas_lehmer(p, step_budget=step_budget):
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1

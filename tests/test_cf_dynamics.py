@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from euclidkit import (
     DomainError,
+    cf_dynamics,
     ResourceLimitError,
     UnimodularMatrix,
     average_cf_length,
@@ -148,8 +149,16 @@ def test_average_cf_length_frozen():
 
 
 @pytest.mark.parametrize("scan", [yao_knuth_stat, average_cf_length])
-def test_statistics_refuse_a_limit_past_their_budget(scan):
+def test_statistics_refuse_a_limit_past_their_budget(scan, monkeypatch):
     assert scan(10, scan_budget=10) == scan(10)
+
+    def no_chain(*args):
+        raise AssertionError("the limit is refused before the first chain")
+
+    # the loops look range up as a module global before the builtin
+    monkeypatch.setattr(cf_dynamics, "range", no_chain, raising=False)
+    with pytest.raises(AssertionError):
+        scan(10, scan_budget=10)
     with pytest.raises(ResourceLimitError, match=rf"^{scan.__name__}\(11\): scan budget is 10$"):
         scan(11, scan_budget=10)
 

@@ -852,9 +852,9 @@ ERROR_GOLDENS = [
         2,
         {
             "text": "reciprocity-scan  format=text limit=-3\n"
-            "VIOLATION: reciprocity-scan needs limit >= 0, got -3\n",
+            "VIOLATION: reciprocity_scan needs limit >= 0, got -3\n",
             "report": "command: reciprocity-scan\nparam format: report\nparam limit: -3\n"
-            "violation: reciprocity-scan needs limit >= 0, got -3\n",
+            "violation: reciprocity_scan needs limit >= 0, got -3\n",
         },
         id="reciprocity-scan-negative-limit",
     ),

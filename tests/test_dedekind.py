@@ -38,6 +38,19 @@ def test_sawtooth_frozen_values():
     assert sawtooth(Fraction(-3)) == 0
 
 
+@pytest.mark.parametrize(
+    "x, name", [(True, "bool"), (None, "NoneType"), ("abc", "str"), (float("inf"), "float")]
+)
+def test_sawtooth_refuses_what_is_not_a_rational(x, name):
+    with pytest.raises(DomainError, match=rf"^sawtooth needs a rational, got {name}$"):
+        sawtooth(x)
+
+
+def test_sawtooth_reads_numeric_strings_and_finite_floats():
+    assert sawtooth("1/3") == Fraction(-1, 6)
+    assert sawtooth(0.25) == Fraction(-1, 4)
+
+
 @given(num=st.integers(-10**6, 10**6), den=st.integers(1, 10**4))
 def test_sawtooth_oddness_and_bound(num, den):
     x = Fraction(num, den)
@@ -128,6 +141,8 @@ def test_reciprocity_residual_domain():
         reciprocity_residual(0, 3)
     with pytest.raises(DomainError):
         reciprocity_residual(3, 0)
+    with pytest.raises(DomainError, match=r"^k must be an integer, got bool$"):
+        reciprocity_residual(2, True)
 
 
 # ---------------------------------------------------------------------------

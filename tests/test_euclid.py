@@ -395,6 +395,7 @@ def test_division_from_bezout_divides_nowhere():
         "_ladder",
         "_positive",
         "_budget",
+        "_items",
         "_integer",
         "_shown",
         "BezoutCertificate.holds",
@@ -422,6 +423,13 @@ def test_division_from_bezout_rejects_bad_certificates():
         division_from_bezout(240, 46, BezoutCertificate(240, 46, 2, 1, 1))  # identity
     with pytest.raises(CertificateMismatchError):
         division_from_bezout(4, 2, BezoutCertificate(4, 2, 4, 1, 0))  # g is not the gcd
+    # any record of the five fields is read as a certificate, and only such a record
+    assert division_from_bezout(240, 46, (240, 46, 2, -9, 47)) == (5, 10)
+    with pytest.raises(DomainError, match=r"^division_from_bezout needs a sequence, got NoneType$"):
+        division_from_bezout(240, 46, None)
+    with pytest.raises(DomainError) as exc:
+        division_from_bezout(240, 46, (240, 46, 2))
+    assert str(exc.value) == "division_from_bezout needs 5 certificate fields, got 3"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Primes, factorization, sigma, and Lucas-Lehmer against brute-force oracles."""
 
+import ast
+import inspect
 import random
 from array import array
 from bisect import bisect_right
@@ -15,13 +17,18 @@ from euclidkit import (
     Factorization,
     ResourceLimitError,
     average_cf_length,
+    cli,
     dedekind_sum,
+    dynamical_run,
+    euclid_lemma_witness,
     factorize,
     grimm_scan,
     interval_equivalence_scan,
     lucas_lehmer,
+    perfect_from_mersenne,
     perfect_scan,
     primes_up_to,
+    propositions,
     rational_str,
     reciprocity_residual,
     reciprocity_scan,
@@ -36,6 +43,7 @@ from oracles import (
     lucas_lehmer_by_remainder,
     sigma_by_enumeration,
 )
+from test_sequences import _names_reached
 
 # ---------------------------------------------------------------------------
 # smallest_prime_factor / primes_up_to
@@ -311,5 +319,33 @@ def test_negative_arguments_name_the_least_value():
         sigma(-1)
     with pytest.raises(DomainError, match=r"^lucas_lehmer needs a prime exponent, got -3$"):
         lucas_lehmer(-3)
+    with pytest.raises(DomainError, match=r"^lucas_lehmer needs a prime exponent, got 4$"):
+        perfect_from_mersenne(4)
+    with pytest.raises(DomainError, match=r"^reciprocity_residual needs h >= 1, got 0$"):
+        reciprocity_residual(0, 3)
+    with pytest.raises(DomainError, match=r"^euclid_lemma_witness needs a >= 1, got 0$"):
+        euclid_lemma_witness(3, 0, 5)
+    with pytest.raises(DomainError, match=r"^dynamical_run needs y >= 0, got -2$"):
+        dynamical_run(3, -2)
+    # each argument on its own, first fault first: x is named though y is a bool
+    with pytest.raises(DomainError, match=r"^dynamical_run needs x >= 0, got -1$"):
+        dynamical_run(-1, True)
     with pytest.raises(DomainError, match=r"^reciprocity_scan needs limit >= 0, got -1$"):
         reciprocity_scan(-1)
+
+
+def test_no_argument_is_checked_twice(monkeypatch):
+    # the CLI leaves reciprocity_scan's limit to the library's own check
+    named = {
+        getattr(node, "id", None) or getattr(node, "name", None) or getattr(node, "attr", None)
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+    }
+    assert "_at_least" not in named
+    # perfect_from_mersenne trial-divides its exponent only in lucas_lehmer,
+    # so once, under the caller's budget
+    assert "smallest_prime_factor" in _names_reached(perfect_from_mersenne)[0]
+    with pytest.raises(ResourceLimitError, match=r"^smallest_prime_factor\(9\): exceeded 0 "):
+        perfect_from_mersenne(9, step_budget=0)
+    monkeypatch.setattr(propositions, "lucas_lehmer", lambda p, step_budget=None: True)
+    read, names = _names_reached(perfect_from_mersenne)
+    assert "smallest_prime_factor" not in read | names
