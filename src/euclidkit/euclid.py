@@ -237,26 +237,25 @@ def lowest_terms(a: int, b: int) -> tuple[int, int]:
 
 def _ladder(c: int, b: int, budget: int, context: Callable[[], str]) -> tuple[int, int]:
     """(i, r) with c = i*b + r and 0 <= r < b, for c >= 0 and b >= 1, by
-    duplation: climb the rungs b, 2b, 4b, ... by addition, then subtract
-    greedily from the top rung down.
+    duplation: climb the rungs b, 2b, 4b, ... by addition to the top rung
+    b * 2**k <= c, then subtract greedily from it down.
 
-    Only the top rung is kept; each rung on the way down is rebuilt as
-    b * 2**k, so memory stays linear in the size of c. Raises
+    No list of rungs is kept; each on the way down is rebuilt as b << k, a
+    multiplication by 2**k, so memory stays linear in the size of c. Raises
     ResourceLimitError once the climb takes more than budget doublings.
     """
-    rung, k = b, 0
-    while rung + rung <= c:
+    rung, k = b + b, 0
+    while rung <= c:
         rung += rung
         k += 1
         if k > budget:
             raise ResourceLimitError(f"{context()} exceeded {budget} doubling steps")
     i, r = 0, c
     while k >= 0:
-        power = 2**k
-        rung = b * power
+        rung = b << k
         if rung <= r:
             r -= rung
-            i += power
+            i += 1 << k
         k -= 1
     return i, r
 
@@ -299,8 +298,9 @@ def division_from_bezout(
             f" + {_shown(b)}*{_shown(cert.y)} != {_shown(cert.g)}"
         )
     hi, lo = a, b
+    validation = lambda: f"gcd validation for {pair()}"
     while lo:
-        hi, lo = lo, _ladder(hi, lo, budget, lambda: f"gcd validation for {pair()}")[1]
+        hi, lo = lo, _ladder(hi, lo, budget, validation)[1]
     if cert.g != hi:
         raise CertificateMismatchError(f"certificate g = {_shown(cert.g)} is not gcd{pair()}")
 

@@ -87,11 +87,12 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
     """From distinct primes, produce a prime outside the list.
 
     E = 1 + product leaves remainder 1 on division by every input, so its
-    smallest prime factor is new. The empty list yields E = 2.
+    smallest prime factor is new. The empty list yields E = 2. step_budget
+    bounds the trial division of each input and of E.
     """
     plist = sorted(_integer(p, "primes[i]") for p in _items(primes, "euclid_prime_extension"))
     for p in plist:
-        if p < 2 or smallest_prime_factor(p) != p:
+        if p < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
             raise DomainError(f"euclid_prime_extension needs primes, got {_shown(p)}")
     if len(set(plist)) != len(plist):
         raise DomainError("euclid_prime_extension needs distinct primes")

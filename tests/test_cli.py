@@ -1081,6 +1081,16 @@ def test_euclid_extend_past_the_digit_limit_golden(capsys):
     )
 
 
+def test_euclid_extend_budget_bounds_the_input_primality_check(capsys):
+    # trial division of 10**12 + 39 would take about 500,000 steps
+    assert run_main(capsys, "euclid-extend", "1000000000039", "--budget", "1") == (
+        3,
+        "",
+        "euclid-extend  budget=1 format=text primes=1000000000039\n"
+        "VIOLATION: smallest_prime_factor(1000000000039): exceeded 1 trial divisions\n",
+    )
+
+
 @pytest.mark.parametrize(
     "value, shown",
     [

@@ -355,6 +355,32 @@ def test_division_from_bezout_memory_stays_linear_in_the_input():
     assert peak < 2**20
 
 
+def _ladder_context() -> str:
+    return "ladder under test:"
+
+
+@settings(deadline=None)
+@given(
+    c=st.integers(0, 10**400 - 1),
+    b=st.integers(1, 10**200 - 1),
+    k=st.integers(0, 1328),
+    form=st.sampled_from(["any", "below b", "b * 2**k", "b * 2**k - 1"]),
+)
+def test_ladder_is_divmod(c, b, k, form):
+    k %= ((10**400 - 1) // b).bit_length()  # so that b * 2**k < 10**400
+    c = {"any": c, "below b": c % b, "b * 2**k": b << k, "b * 2**k - 1": (b << k) - 1}[form]
+    assert euclid._ladder(c, b, c.bit_length(), _ladder_context) == divmod(c, b)
+
+
+@pytest.mark.parametrize("b", [1, 3, 10**50 + 7])
+@pytest.mark.parametrize("k", [1, 10, 1000])
+def test_ladder_budget_is_the_number_of_doublings(b, k):
+    assert euclid._ladder(b << k, b, k, _ladder_context) == (1 << k, 0)
+    with pytest.raises(ResourceLimitError) as exc:
+        euclid._ladder(b << k, b, k - 1, _ladder_context)
+    assert str(exc.value) == f"ladder under test: exceeded {k - 1} doubling steps"
+
+
 _DIVIDING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
 _DIVIDING_NAMES = {"divmod", "gcd", "_division_chain", "gcd_remainder", "xgcd", "_gcd"}
 
@@ -407,8 +433,14 @@ def test_division_checker_flags_a_division():
     def halves(a: int, b: int) -> int:
         return a // b
 
+    def halves_a_rung(a: int) -> int:
+        return a >> 1
+
     assert _division_in(halves)[1] == [
         ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv")
+    ]
+    assert _division_in(halves_a_rung)[1] == [
+        ("test_division_checker_flags_a_division.<locals>.halves_a_rung", 2, "RShift")
     ]
     read, found = _division_in(lcm)
     assert read == {"lcm", "_positive", "_integer", "_shown"}

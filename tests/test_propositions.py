@@ -114,6 +114,14 @@ def test_extension_rejects_non_primes_and_duplicates():
         euclid_prime_extension([2, 2])
 
 
+def test_extension_budget_bounds_the_check_of_each_input_prime():
+    with pytest.raises(ResourceLimitError) as exc:
+        euclid_prime_extension([10**12 + 39], step_budget=1)
+    assert str(exc.value) == "smallest_prime_factor(1000000000039): exceeded 1 trial divisions"
+    # budget 1 tries d = 3 only, which settles any prime below 25
+    assert euclid_prime_extension([3, 23], step_budget=1) == ((3, 23), 70, 2)
+
+
 def test_extension_refuses_a_value_that_is_not_a_sequence():
     with pytest.raises(DomainError, match="^euclid_prime_extension needs a sequence, got int$"):
         euclid_prime_extension(5)
