@@ -153,10 +153,9 @@ def _cmd_lowest_terms(args, report: Report) -> None:
 
 def _cmd_cf(args, report: Report) -> None:
     """continued fraction of a/b and its round trip"""
-    from fractions import Fraction
     from . import cf_dynamics
     cf = cf_dynamics.cf_expand(args.a, args.b)
-    value = Fraction(*cf_dynamics.cf_value(cf))
+    value = "/".join(map(_shown, cf_dynamics.cf_value(cf)))  # reduced, as rational_str shows it
     report.summary.update(quotients=cf.quotients, length=len(cf.quotients), value=value)
 
 

@@ -21,13 +21,23 @@ def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
     """Least prime dividing n >= 2; n is prime exactly when this returns n."""
     _at_least(n, "n", 2, "smallest_prime_factor")
     budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
-    if n % 2 == 0:
-        return 2
-    d, last = 3, 2 * budget + 1  # trial division k tries d = 2k + 1
+    return _trial(n, 2, budget, "smallest_prime_factor", n)
+
+
+def _trial(n: int, d: int, budget: int, caller: str, whole: int) -> int:
+    """Least divisor of n >= 2 that is at least d, for d = 2 or odd and no
+    divisor of n in 2..d-1, so a prime: 2 is tried free, then odd d. Trial
+    division k tries 2k + 1, and one past 2*budget + 1 is refused as
+    caller(whole)'s, the message built only then."""
+    if d == 2:
+        if n % 2 == 0:
+            return 2
+        d = 3
+    last = 2 * budget + 1
     while d * d <= n:
         if d > last:
             raise ResourceLimitError(
-                f"smallest_prime_factor({_shown(n)}): exceeded {budget} trial divisions"
+                f"{caller}({_shown(whole)}): exceeded {budget} trial divisions"
             )
         if n % d == 0:
             return d
@@ -92,26 +102,14 @@ def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
     _at_least(n, "n", 1, "factorize")
     budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
     factors: list[tuple[int, int]] = []
-    rest = n
-    exponent = 0
-    while rest % 2 == 0:
-        rest //= 2
-        exponent += 1
-    if exponent:
-        factors.append((2, exponent))
-    d, last = 3, 2 * budget + 1  # trial division k tries d = 2k + 1
-    while d * d <= rest:
-        if d > last:
-            raise ResourceLimitError(f"factorize({_shown(n)}): exceeded {budget} trial divisions")
-        if rest % d == 0:
-            exponent = 0
-            while rest % d == 0:
-                rest //= d
-                exponent += 1
-            factors.append((d, exponent))
-        d += 2
-    if rest > 1:
-        factors.append((rest, 1))
+    rest, d = n, 2
+    while rest > 1:
+        d = _trial(rest, d, budget, "factorize", n)
+        exponent = 0
+        while rest % d == 0:
+            rest //= d
+            exponent += 1
+        factors.append((d, exponent))
     return Factorization(tuple(factors))
 
 

@@ -1,0 +1,14 @@
+"""Fixtures shared by more than one test module."""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def readme_command_lines() -> list[list[str]]:
+    """Each line of README's command-line block, split as a shell would."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]

@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -1351,15 +1350,9 @@ def test_reports_replay_byte_identically_across_hash_seeds():
 # the README's command block and the command table agree
 
 
-def _readme_command_lines():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
-
-
-def test_readme_command_lines_parse_and_cover_every_command():
+def test_readme_command_lines_parse_and_cover_every_command(readme_command_lines):
     documented = set()
-    for argv in _readme_command_lines():
+    for argv in readme_command_lines:
         assert argv[0] == "euclidkit", argv
         documented.add(cli._build_parser(argv[1:]).parse_args(argv[1:]).subcommand.name)
     assert documented == {command.name for command in cli.COMMANDS}

@@ -1,8 +1,6 @@
 """Sawtooth values, Dedekind sums, and exact reciprocity."""
 
 import ast
-import inspect
-import textwrap
 from fractions import Fraction
 from math import gcd as builtin_gcd
 
@@ -17,12 +15,14 @@ from euclidkit import (
     cli,
     dedekind,
     dedekind_sum,
+    euclid,
     gcd_remainder,
     reciprocity_residual,
     reciprocity_scan,
     sawtooth,
 )
 from oracles import dedekind_by_terms, sawtooth_by_fraction
+from reach import reached
 
 # ---------------------------------------------------------------------------
 # sawtooth
@@ -237,38 +237,15 @@ def test_reciprocity_scan_refuses_a_limit_above_its_budget_before_any_row(monkey
         reciprocity_scan(1001)
 
 
-def _euclid_in(*roots):
-    """Read each root and every package function it calls by name, in turn.
-
-    Returns the names of the functions read and, as (function, line, name),
-    every name in them that is `_division_chain` or resolves to the euclid
-    module or to anything defined there.
-    """
-    read, found, todo = [], [], list(roots)
-    while todo:
-        fn = todo.pop()
-        if fn.__qualname__ in read:
-            continue
-        read.append(fn.__qualname__)
-        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if not isinstance(node, (ast.Name, ast.Attribute)):
-                continue
-            value = fn.__globals__.get(name)
-            module = getattr(value, "__name__", None) if inspect.ismodule(value) else None
-            if (
-                name == "_division_chain"
-                or module == "euclidkit.euclid"
-                or getattr(value, "__module__", None) == "euclidkit.euclid"
-            ):
-                found.append((fn.__qualname__, node.lineno, name))
-            if inspect.isfunction(value) and value.__module__.startswith("euclidkit"):
-                todo.append(value)
-    return set(read), found
+def _into_euclid(node, value) -> bool:
+    """Whether node names _division_chain or resolves into the euclid module."""
+    return "_division_chain" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+        value is euclid or getattr(value, "__module__", None) == euclid.__name__
+    )
 
 
 def test_the_reciprocity_checks_reach_no_euclid_chain():
-    read, found = _euclid_in(reciprocity_scan, dedekind._row, reciprocity_residual)
+    read, seen = reached(reciprocity_scan, dedekind._row, reciprocity_residual)
     assert read == {
         "reciprocity_scan",
         "_row",
@@ -281,12 +258,12 @@ def test_the_reciprocity_checks_reach_no_euclid_chain():
         "_within",
         "_budget",
     }
-    assert found == []
+    assert [(fn, ast.unparse(node)) for fn, node, value in seen if _into_euclid(node, value)] == []
 
 
 def test_euclid_checker_flags_the_euclid_chain():
-    _, found = _euclid_in(cf_expand, gcd_remainder)
-    assert {(fn, name) for fn, _, name in found} >= {
+    _, seen = reached(cf_expand, gcd_remainder)
+    assert {(fn, ast.unparse(node)) for fn, node, value in seen if _into_euclid(node, value)} >= {
         ("cf_expand", "_division_chain"),
         ("gcd_remainder", "_division_chain"),
     }

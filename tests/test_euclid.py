@@ -38,6 +38,7 @@ from oracles import (
     remainder_chain_by_divmod,
     subtractive_steps_by_loop,
 )
+from reach import reached
 
 # ---------------------------------------------------------------------------
 # frozen examples
@@ -385,37 +386,21 @@ _DIVIDING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
 _DIVIDING_NAMES = {"divmod", "gcd", "_division_chain", "gcd_remainder", "xgcd", "_gcd"}
 
 
-def _division_in(*roots):
-    """Read each root and every package function it calls by name, in turn.
-
-    Returns the names of the functions read and the divisions found in them,
-    as (function, line, what): an operator, or a name of a dividing builtin
-    or helper, called or not.
-    """
-    read, found, todo = [], [], list(roots)
-    while todo:
-        fn = todo.pop()
-        if fn.__qualname__ in read:
-            continue
-        read.append(fn.__qualname__)
-        source = textwrap.dedent(inspect.getsource(fn))
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-                node.op, _DIVIDING_OPS
-            ):
-                found.append((fn.__qualname__, node.lineno, type(node.op).__name__))
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name in _DIVIDING_NAMES:
-                found.append((fn.__qualname__, node.lineno, name))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                callee = fn.__globals__.get(node.func.id)
-                if inspect.isfunction(callee) and callee.__module__.startswith("euclidkit"):
-                    todo.append(callee)
-    return set(read), found
+def _divisions(seen) -> list:
+    """(function, line, what) for each division among reached's nodes: an
+    operator, or the name of a dividing builtin or helper, called or not."""
+    found = []
+    for fn, node, _ in seen:
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(getattr(node, "op", None), _DIVIDING_OPS):
+            found.append((fn, node.lineno, type(node.op).__name__))
+        elif name in _DIVIDING_NAMES:
+            found.append((fn, node.lineno, name))
+    return found
 
 
 def test_division_from_bezout_divides_nowhere():
-    read, found = _division_in(division_from_bezout, BezoutCertificate.holds)
+    read, seen = reached(division_from_bezout)
     assert read == {
         "division_from_bezout",
         "_ladder",
@@ -426,7 +411,7 @@ def test_division_from_bezout_divides_nowhere():
         "_shown",
         "BezoutCertificate.holds",
     }
-    assert found == []
+    assert _divisions(seen) == []
 
 
 def test_division_checker_flags_a_division():
@@ -436,15 +421,13 @@ def test_division_checker_flags_a_division():
     def halves_a_rung(a: int) -> int:
         return a >> 1
 
-    assert _division_in(halves)[1] == [
-        ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv")
+    assert sorted(_divisions(reached(halves, halves_a_rung)[1])) == [
+        ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv"),
+        ("test_division_checker_flags_a_division.<locals>.halves_a_rung", 2, "RShift"),
     ]
-    assert _division_in(halves_a_rung)[1] == [
-        ("test_division_checker_flags_a_division.<locals>.halves_a_rung", 2, "RShift")
-    ]
-    read, found = _division_in(lcm)
+    read, seen = reached(lcm)
     assert read == {"lcm", "_positive", "_integer", "_shown"}
-    assert [what for _, _, what in found] == ["FloorDiv", "gcd"]
+    assert [what for _, _, what in _divisions(seen)] == ["FloorDiv", "gcd"]
 
 
 def test_division_from_bezout_rejects_bad_certificates():

@@ -41,9 +41,10 @@ from euclidkit.integers import _least_primes, _window_flags
 from oracles import (
     is_prime_trial,
     lucas_lehmer_by_remainder,
+    prime_divisors_by_trial,
     sigma_by_enumeration,
 )
-from test_sequences import _names_reached
+from reach import mentioned, reached
 
 # ---------------------------------------------------------------------------
 # smallest_prime_factor / primes_up_to
@@ -173,6 +174,28 @@ def test_factorize_domain_and_budget():
         ResourceLimitError, match=r"^factorize\(100140049\): exceeded 5002 trial divisions$"
     ):
         factorize(p * p, step_budget=(p - 1) // 2 - 1)
+
+
+@given(st.integers(1, 10**7))
+def test_factorize_refuses_exactly_past_its_odd_trial_count(n):
+    odd, rest = [], n  # odd prime factors of n with multiplicity, ascending
+    for p in prime_divisors_by_trial(n):
+        while p > 2 and rest % p == 0:
+            odd.append(p)
+            rest //= p
+    # trial k tries 2k + 1 while its square is at most the part of n left:
+    # up to the second largest odd factor, then up to the largest one's root
+    *_, second, largest = [1, 1] + odd
+    trials = max((second - 1) // 2, (isqrt(largest) - 1) // 2)
+    assert factorize(n, step_budget=trials).primes() == prime_divisors_by_trial(n)
+    if trials:
+        refusal = rf"^factorize\({n}\): exceeded {trials - 1} trial divisions$"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            factorize(n, step_budget=trials - 1)
+
+
+def test_factorization_and_smallest_prime_factor_share_one_trial_loop():
+    assert "_trial" in reached(factorize)[0] & reached(smallest_prime_factor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +366,9 @@ def test_no_argument_is_checked_twice(monkeypatch):
     assert "_at_least" not in named
     # perfect_from_mersenne trial-divides its exponent only in lucas_lehmer,
     # so once, under the caller's budget
-    assert "smallest_prime_factor" in _names_reached(perfect_from_mersenne)[0]
+    assert "smallest_prime_factor" in reached(perfect_from_mersenne)[0]
     with pytest.raises(ResourceLimitError, match=r"^smallest_prime_factor\(9\): exceeded 0 "):
         perfect_from_mersenne(9, step_budget=0)
     monkeypatch.setattr(propositions, "lucas_lehmer", lambda p, step_budget=None: True)
-    read, names = _names_reached(perfect_from_mersenne)
+    read, names = mentioned(perfect_from_mersenne)
     assert "smallest_prime_factor" not in read | names

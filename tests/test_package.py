@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import euclidkit
-from test_cli import _readme_command_lines
 
 # Every public name the package binds. Before the namespace became one table,
 # __all__ listed all of these but yao_knuth_stat, which only star imports missed.
@@ -155,9 +154,11 @@ def test_dedekind_loads_only_the_dedekind_layer():
 
 
 def test_the_reciprocity_scan_loads_neither_fractions_nor_decimal():
-    # dedekind imports fractions, which imports decimal, only to build a Fraction
+    # dedekind imports fractions, which imports decimal, only to build a
+    # Fraction; cf shows its reduced round trip without one
     watched = ["fractions", "decimal"]
-    assert _after_command("reciprocity-scan", "--limit", "20", watched=watched)[1] == set()
+    for argv in (["reciprocity-scan", "--limit", "20"], ["cf", "355", "113"]):
+        assert _after_command(*argv, watched=watched)[1] == set(), argv
 
 
 def test_dedekind_builds_its_fraction_in_a_new_interpreter():
@@ -182,9 +183,9 @@ def test_only_the_perfect_scan_loads_numpy():
     assert "numpy" in _after_command("perfect", "--scan", "100")[1]
 
 
-def test_no_readme_command_imports_dataclasses_or_inspect():
+def test_no_readme_command_imports_dataclasses_or_inspect(readme_command_lines):
     # the README lines run every COMMANDS entry (test_cli checks that they do)
-    for argv in _readme_command_lines():
+    for argv in readme_command_lines:
         expected = {"inspect", "numpy"} if argv[1:3] == ["perfect", "--scan"] else set()
         assert _after_command(*argv[1:])[1] == expected, argv
 

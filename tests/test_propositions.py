@@ -25,7 +25,7 @@ from euclidkit import (
 )
 from euclidkit import propositions
 from oracles import is_prime_trial, sigma_by_enumeration, sigma_by_multiples
-from test_sequences import _names_reached
+from reach import mentioned
 
 # ---------------------------------------------------------------------------
 # coprimality by the subtraction chain
@@ -322,12 +322,12 @@ def test_scan_reports_hits_ascending_across_segments_and_powers_of_two(monkeypat
 
 
 def test_classify_perfect_does_not_reach_the_sieve():
-    read, names = _names_reached(classify_perfect)
+    read, names = mentioned(classify_perfect)
     assert {"sigma", "factorize", "smallest_prime_factor"} <= read
     assert not {"_sigma_sieve", "_sigma_segments", "numpy", "np"} & (read | names)
     # and the mirror: the sieve sums divisors from the definition, assuming
     # neither primality nor the shape classify_perfect then checks
-    read, names = _names_reached(propositions._sigma_segments)
+    read, names = mentioned(propositions._sigma_segments)
     assert read == {"_sigma_segments"}
     assert not {
         "lucas_lehmer",

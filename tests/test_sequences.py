@@ -1,11 +1,11 @@
 """Coprime witnesses, the prime-between-squares equivalence, and composite runs."""
 
 import ast
+import builtins
 import gc
 import hashlib
 import inspect
 import random
-import textwrap
 import time
 from array import array
 from math import gcd as builtin_gcd
@@ -51,6 +51,7 @@ from oracles import (
     witness_by_pair_matrix,
     witness_by_pairwise_gcd,
 )
+from reach import mentioned, reached
 
 # ---------------------------------------------------------------------------
 # coprime witnesses
@@ -258,27 +259,11 @@ def test_interval_scan_refuses_a_limit_past_its_default_budget(monkeypatch):
         interval_equivalence_scan(10**7)
 
 
-def _names_reached(*roots):
-    """Read each root and every package function it names, in turn.
-
-    Returns the qualified names of the functions read and every name they
-    mention, as a variable or an attribute, called or not.
-    """
-    read, names, todo = set(), set(), list(roots)
-    while todo:
-        fn = todo.pop()
-        if fn.__qualname__ in read:
-            continue
-        read.add(fn.__qualname__)
-        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-                named = fn.__globals__.get(node.id)
-                if inspect.isfunction(named) and named.__module__.startswith("euclidkit"):
-                    todo.append(named)
-    return read, names
+def _divides(node) -> bool:
+    """Whether node takes a remainder, a quotient or a true division."""
+    return isinstance(getattr(node, "op", None), (ast.Mod, ast.Div, ast.FloorDiv)) or (
+        "divmod" in (getattr(node, "id", None), getattr(node, "attr", None))
+    )
 
 
 # The w side tests no primality, and does not use non_w_max_run either: that
@@ -294,7 +279,7 @@ _NOT_ON_THE_W_SIDE = {
 
 
 def test_witness_side_tests_no_primality():
-    read, names = _names_reached(w_witness)
+    read, names = mentioned(w_witness)
     assert read == {
         "w_witness",
         "_witness_index",
@@ -309,19 +294,23 @@ def test_witness_side_tests_no_primality():
     assert not names & _NOT_ON_THE_W_SIDE
 
 
+def test_division_filter_flags_divmod_named_or_taken_as_an_attribute():
+    def splits(x: int) -> tuple:
+        return divmod(x, 3), builtins.divmod(x, 5)
+
+    found = [ast.unparse(node) for _, node, _ in reached(splits)[1] if _divides(node)]
+    assert found == ["divmod", "builtins.divmod"]
+
+
 @pytest.mark.parametrize("kernel", [_witness_index, sequences._shares_factor])
 def test_witness_kernel_takes_no_division(kernel):
     # multiplication and gcd only: no remainder, quotient or true division,
     # so a block's tail comes by slicing and its candidates by walking it
-    division = (ast.Mod, ast.Div, ast.FloorDiv)
-    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(kernel)))):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            assert not isinstance(node.op, division), ast.unparse(node)
-        assert not (isinstance(node, ast.Name) and node.id == "divmod")
+    assert [ast.unparse(node) for _, node, _ in reached(kernel)[1] if _divides(node)] == []
 
 
 def test_prime_side_takes_no_gcd():
-    read, names = _names_reached(_window_flags, primes_up_to)
+    read, names = mentioned(_window_flags, primes_up_to)
     assert read == {
         "_window_flags", "primes_up_to", "_at_least", "_integer", "_shown", "_within", "_budget"
     }
@@ -330,7 +319,7 @@ def test_prime_side_takes_no_gcd():
 
 def test_interval_sides_reach_both_scans():
     for root in (_interval_sides, interval_equivalence_scan):
-        read, names = _names_reached(root)
+        read, names = mentioned(root)
         assert {"_witness_index", "_window_flags"} <= read
         assert {"gcd", "_window_flags"} <= names
         assert "non_w_max_run" not in names
@@ -618,16 +607,16 @@ def test_a_bogus_infeasibility_certificate_raises(monkeypatch, call, run, certif
 
 
 def test_verify_assignment_trial_divides_and_never_reaches_a_sieve():
-    read, names = _names_reached(verify_assignment)
+    read, names = mentioned(verify_assignment)
     assert "smallest_prime_factor" in read
     assert not {"_least_primes", "primes_up_to", "_run_divisors", "factorize"} & (read | names)
 
 
 def test_grimm_scan_checks_fit_itself_and_primality_by_certificate_alone():
-    read, names = _names_reached(grimm_scan)
+    read, names = mentioned(grimm_scan)
     assert {"_fits", "_certified_primes"} <= read
     assert "verify_assignment" not in read | names
-    assert "_fits" in _names_reached(verify_assignment)[0]
+    assert "_fits" in mentioned(verify_assignment)[0]
     assert list(inspect.signature(verify_assignment).parameters) == ["result"]
 
 
@@ -718,7 +707,7 @@ def test_certified_primes_match_trial_division_below_200000():
 def test_prime_certificate_reaches_no_sieve_and_takes_no_division():
     # gcd against a running factorial only: no sieve, no trial division,
     # no remainder or quotient taken in Python
-    read, names = _names_reached(_certified_primes)
+    read, names = mentioned(_certified_primes)
     assert read == {"_certified_primes"}
     assert "gcd" in names
     forbidden = {
@@ -728,16 +717,12 @@ def test_prime_certificate_reaches_no_sieve_and_takes_no_division():
         "_run_divisors",
         "factorize",
         "smallest_prime_factor",
-        "divmod",
         "mod",
         "floordiv",
         "truediv",
     }
     assert not forbidden & names
-    division = (ast.Mod, ast.Div, ast.FloorDiv)
-    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(_certified_primes)))):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            assert not isinstance(node.op, division), ast.unparse(node)
+    assert [ast.unparse(n) for _, n, _ in reached(_certified_primes)[1] if _divides(n)] == []
 
 
 def test_matching_on_cut_divisor_lists_equals_matching_on_full_ones():
