@@ -125,7 +125,10 @@ class EuclidTrace(NamedTuple):
 
 
 class BezoutCertificate(NamedTuple):
-    """Integers x, y with a*x + b*y = g = gcd(a, b)."""
+    """A claimed certificate: integers x, y with a*x + b*y = g. The record
+    checks nothing when built, and holds() checks only that identity, not
+    that g is gcd(a, b). xgcd returns records whose g is the gcd;
+    division_from_bezout checks that g is the gcd before it uses one."""
 
     a: int
     b: int

@@ -6,10 +6,7 @@ an expected value has to come from somewhere other than the code under test.
 """
 
 import hashlib
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import combinations
 from math import gcd as builtin_gcd
@@ -48,16 +45,6 @@ def _criterion(number: int, description: str, ok: bool, detail: str = "") -> Non
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _run_cli(*args, hash_seed="0"):
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    return subprocess.run(
-        [sys.executable, "-m", "euclidkit", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 def test_criterion_01_gcd_agreement():
@@ -298,11 +285,11 @@ def test_criterion_13_interval_equivalence():
     )
 
 
-def test_criterion_14_grimm_scan():
+def test_criterion_14_grimm_scan(run_cli):
     start = time.monotonic()
     results = grimm_scan(10**5)
     all_matched = all(matched and validated for _, _, matched, _, validated in results)
-    cli = _run_cli("grimm", "--scan", "1000", "--format", "report")
+    cli = run_cli("grimm", "--scan", "1000", "--format", "report")
     elapsed = time.monotonic() - start
     # the rows as the scan that trial-divided every assigned prime gave them
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
@@ -332,7 +319,7 @@ def test_criterion_15_pillai_window():
     )
 
 
-def test_criterion_16_cli_determinism():
+def test_criterion_16_cli_determinism(run_cli):
     commands = [
         ["gcd", "240", "46", "--trace", "--format", "report"],
         ["xgcd", "240", "46", "--format", "report"],
@@ -352,8 +339,8 @@ def test_criterion_16_cli_determinism():
     ]
     ok = True
     for argv in commands:
-        first = _run_cli(*argv, hash_seed="0")
-        second = _run_cli(*argv, hash_seed="1")
+        first = run_cli(*argv, hash_seed="0")
+        second = run_cli(*argv, hash_seed="1")
         if first.stdout != second.stdout or first.returncode != second.returncode:
             ok = False
     _criterion(

@@ -1,7 +1,6 @@
 """Golden transcripts, exit codes, and format agreement for the command line."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -319,28 +318,18 @@ options:
 """
 
 
-def run_cli(*args, hash_seed="0"):
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    return subprocess.run(
-        [sys.executable, "-m", "euclidkit", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
 # ---------------------------------------------------------------------------
 # golden transcripts
 
 
-def test_gcd_report_golden():
+def test_gcd_report_golden(run_cli):
     result = run_cli("gcd", "240", "46", "--trace", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == GCD_REPORT_GOLDEN
     assert result.stderr == ""
 
 
-def test_gcd_text_golden():
+def test_gcd_text_golden(run_cli):
     result = run_cli("gcd", "240", "46")
     assert result.returncode == 0
     assert result.stdout == (
@@ -350,25 +339,25 @@ def test_gcd_text_golden():
     )
 
 
-def test_gcd_subtractive_trace_text_golden():
+def test_gcd_subtractive_trace_text_golden(run_cli):
     result = run_cli("gcd", "1071", "462", "--method", "subtractive", "--trace")
     assert result.returncode == 0
     assert result.stdout == GCD_SUBTRACTIVE_TEXT_GOLDEN
 
 
-def test_xgcd_report_golden():
+def test_xgcd_report_golden(run_cli):
     result = run_cli("xgcd", "240", "46", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == XGCD_REPORT_GOLDEN
 
 
-def test_div_from_bezout_report_golden():
+def test_div_from_bezout_report_golden(run_cli):
     result = run_cli("div-from-bezout", "240", "46", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == DIV_FROM_BEZOUT_REPORT_GOLDEN
 
 
-def test_div_from_bezout_with_explicit_certificate():
+def test_div_from_bezout_with_explicit_certificate(run_cli):
     result = run_cli(
         "div-from-bezout", "240", "46", "--x", "-9", "--y", "47", "--g", "2"
     )
@@ -377,43 +366,43 @@ def test_div_from_bezout_with_explicit_certificate():
     assert "remainder = 10" in result.stdout
 
 
-def test_lowest_terms_report_golden():
+def test_lowest_terms_report_golden(run_cli):
     result = run_cli("lowest-terms", "240", "46", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == LOWEST_TERMS_REPORT_GOLDEN
 
 
-def test_cf_report_golden():
+def test_cf_report_golden(run_cli):
     result = run_cli("cf", "355", "113", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == CF_REPORT_GOLDEN
 
 
-def test_dynamics_report_golden():
+def test_dynamics_report_golden(run_cli):
     result = run_cli("dynamics", "21", "13", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == DYNAMICS_REPORT_GOLDEN
 
 
-def test_dedekind_report_golden():
+def test_dedekind_report_golden(run_cli):
     result = run_cli("dedekind", "5", "7", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == DEDEKIND_REPORT_GOLDEN
 
 
-def test_dedekind_text_golden():
+def test_dedekind_text_golden(run_cli):
     result = run_cli("dedekind", "2", "5")
     assert result.returncode == 0
     assert result.stdout == "dedekind  format=text h=2 k=5\nvalue = 0/1\n"
 
 
-def test_perfect_report_golden():
+def test_perfect_report_golden(run_cli):
     result = run_cli("perfect", "7", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == PERFECT_REPORT_GOLDEN
 
 
-def test_euclid_extend_report_golden():
+def test_euclid_extend_report_golden(run_cli):
     result = run_cli(
         "euclid-extend", "2", "3", "5", "7", "11", "13", "--format", "report"
     )
@@ -421,13 +410,13 @@ def test_euclid_extend_report_golden():
     assert result.stdout == EUCLID_EXTEND_REPORT_GOLDEN
 
 
-def test_wseq_report_golden():
+def test_wseq_report_golden(run_cli):
     result = run_cli("wseq", "2", "3", "4", "5", "6", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == WSEQ_REPORT_GOLDEN
 
 
-def test_wseq_without_witness_reports_false():
+def test_wseq_without_witness_reports_false(run_cli):
     result = run_cli("wseq", "2", "4", "6")
     assert result.returncode == 0
     assert result.stdout == (
@@ -438,19 +427,19 @@ def test_wseq_without_witness_reports_false():
     )
 
 
-def test_interval_equiv_report_golden():
+def test_interval_equiv_report_golden(run_cli):
     result = run_cli("interval-equiv", "4", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == INTERVAL_EQUIV_REPORT_GOLDEN
 
 
-def test_grimm_report_golden():
+def test_grimm_report_golden(run_cli):
     result = run_cli("grimm", "89", "7", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == GRIMM_REPORT_GOLDEN
 
 
-def test_grimm_scan_summary():
+def test_grimm_scan_summary(run_cli):
     result = run_cli("grimm", "--scan", "100", "--format", "report")
     assert result.returncode == 0
     lines = result.stdout.splitlines()
@@ -459,19 +448,19 @@ def test_grimm_scan_summary():
     assert lines[-1] == "summary matched_runs: 24"
 
 
-def test_nonw_report_golden():
+def test_nonw_report_golden(run_cli):
     result = run_cli("nonw", "2183", "--max", "20", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == NONW_REPORT_GOLDEN
 
 
-def test_nonw_default_bound():
+def test_nonw_default_bound(run_cli):
     result = run_cli("nonw", "10")
     assert result.returncode == 0
     assert result.stdout == "nonw  format=text m=10\nbound = 25\nlongest_run = 0\n"
 
 
-def test_reciprocity_scan_report_golden():
+def test_reciprocity_scan_report_golden(run_cli):
     result = run_cli("reciprocity-scan", "--limit", "20", "--format", "report")
     assert result.returncode == 0
     assert result.stdout == RECIPROCITY_SCAN_REPORT_GOLDEN
@@ -505,7 +494,7 @@ def test_grimm_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GRIMM_SCAN_100000_SHA256[fmt]
 
 
-def test_interval_equiv_scan():
+def test_interval_equiv_scan(run_cli):
     result = run_cli("interval-equiv", "--scan", "50", "--format", "report")
     assert result.returncode == 0
     assert "summary checked: 50" in result.stdout
@@ -546,7 +535,7 @@ def test_a_single_large_window_keeps_a_small_peak():
     assert int(result.stderr) <= 60 * 1024  # KiB
 
 
-def test_stats_yao_knuth_integer_lines():
+def test_stats_yao_knuth_integer_lines(run_cli):
     result = run_cli("stats", "yao-knuth", "1000", "--format", "report")
     assert result.returncode == 0
     assert "summary total: 32519" in result.stdout
@@ -726,49 +715,49 @@ def test_grimm_flags_a_window_that_fails_re_validation(capsys, monkeypatch, fmt)
 # exit codes
 
 
-def test_exit_code_1_on_falsified_hypothesis():
+def test_exit_code_1_on_falsified_hypothesis(run_cli):
     result = run_cli("perfect", "11")
     assert result.returncode == 1
     assert "VIOLATION: 2**11 - 1 is composite; no perfect number here" in result.stdout
 
 
-def test_exit_code_2_on_domain_error():
+def test_exit_code_2_on_domain_error(run_cli):
     result = run_cli("gcd", "0", "5")
     assert result.returncode == 2
     assert result.stdout == ""
     assert "a must be at least 1, got 0" in result.stderr
 
 
-def test_exit_code_2_on_bad_certificate():
+def test_exit_code_2_on_bad_certificate(run_cli):
     result = run_cli("div-from-bezout", "240", "46", "--x", "1", "--y", "1", "--g", "2")
     assert result.returncode == 2
     assert "certificate identity fails" in result.stderr
 
 
-def test_exit_code_2_on_incomplete_certificate():
+def test_exit_code_2_on_incomplete_certificate(run_cli):
     result = run_cli("div-from-bezout", "240", "46", "--x", "1", "--y", "1")
     assert result.returncode == 2
     assert "needs all of --x, --y, --g or none" in result.stderr
 
 
-def test_exit_code_2_on_unknown_command():
+def test_exit_code_2_on_unknown_command(run_cli):
     result = run_cli("frobnicate")
     assert result.returncode == 2
 
 
-def test_exit_code_2_on_prime_in_grimm_window():
+def test_exit_code_2_on_prime_in_grimm_window(run_cli):
     result = run_cli("grimm", "4", "3")
     assert result.returncode == 2
     assert "window element 5 is not composite" in result.stderr
 
 
-def test_exit_code_3_on_exhausted_budget():
+def test_exit_code_3_on_exhausted_budget(run_cli):
     result = run_cli("gcd", "1000000", "1", "--method", "subtractive", "--budget", "10")
     assert result.returncode == 3
     assert "exceeded 10 subtraction steps" in result.stderr
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(run_cli):
     result = run_cli("--help")
     assert result.returncode == 0
     assert "gcd" in result.stdout
@@ -1151,7 +1140,7 @@ def test_the_parser_registers_every_command_when_argv_names_none(argv):
 # output file
 
 
-def test_out_flag_writes_the_report(tmp_path):
+def test_out_flag_writes_the_report(tmp_path, run_cli):
     out_path = tmp_path / "run.txt"
     result = run_cli("gcd", "240", "46", "--format", "report", "--out", str(out_path))
     assert result.returncode == 0
@@ -1337,7 +1326,7 @@ REPLAY_COMMANDS = [
 ]
 
 
-def test_reports_replay_byte_identically_across_hash_seeds():
+def test_reports_replay_byte_identically_across_hash_seeds(run_cli):
     for argv in REPLAY_COMMANDS:
         first = run_cli(*argv, hash_seed="0")
         second = run_cli(*argv, hash_seed="1")

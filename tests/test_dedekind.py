@@ -245,8 +245,14 @@ def _into_euclid(node, value) -> bool:
 
 
 def test_the_reciprocity_checks_reach_no_euclid_chain():
-    read, seen = reached(reciprocity_scan, dedekind._row, reciprocity_residual)
+    # from the command a user runs as well as from the library scan
+    roots = (cli._cmd_reciprocity_scan, reciprocity_scan, dedekind._row, reciprocity_residual)
+    read, seen = reached(*roots)
     assert read == {
+        "_cmd_reciprocity_scan",
+        "Report.__init__",
+        "_field",
+        "rational_str",
         "reciprocity_scan",
         "_row",
         "reciprocity_residual",

@@ -1,7 +1,7 @@
 """Gcd traces, Bezout certificates, and division rebuilt from certificates."""
 
 import ast
-import inspect
+import importlib.util
 import random
 import textwrap
 import tracemalloc
@@ -20,6 +20,7 @@ from euclidkit import (
     ResourceLimitError,
     cf_dynamics,
     cf_expand,
+    cli,
     division_from_bezout,
     dynamical_run,
     euclid,
@@ -38,7 +39,7 @@ from oracles import (
     remainder_chain_by_divmod,
     subtractive_steps_by_loop,
 )
-from reach import reached
+from reach import defined_in, divisions, reached
 
 # ---------------------------------------------------------------------------
 # frozen examples
@@ -382,21 +383,8 @@ def test_ladder_budget_is_the_number_of_doublings(b, k):
     assert str(exc.value) == f"ladder under test: exceeded {k - 1} doubling steps"
 
 
-_DIVIDING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
-_DIVIDING_NAMES = {"divmod", "gcd", "_division_chain", "gcd_remainder", "xgcd", "_gcd"}
-
-
-def _divisions(seen) -> list:
-    """(function, line, what) for each division among reached's nodes: an
-    operator, or the name of a dividing builtin or helper, called or not."""
-    found = []
-    for fn, node, _ in seen:
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if isinstance(getattr(node, "op", None), _DIVIDING_OPS):
-            found.append((fn, node.lineno, type(node.op).__name__))
-        elif name in _DIVIDING_NAMES:
-            found.append((fn, node.lineno, name))
-    return found
+# the dividing helpers, which the witness and certificate claims allow and these do not
+_EUCLID_HELPERS = ("gcd", "_gcd", "xgcd", "gcd_remainder", "_division_chain")
 
 
 def test_division_from_bezout_divides_nowhere():
@@ -411,23 +399,23 @@ def test_division_from_bezout_divides_nowhere():
         "_shown",
         "BezoutCertificate.holds",
     }
-    assert _divisions(seen) == []
+    assert divisions(seen, _EUCLID_HELPERS) == []
+
+
+def test_the_div_from_bezout_command_divides_only_where_xgcd_does():
+    # without --x, --y and --g the command builds its certificate by xgcd,
+    # and that call is its one division route
+    found = divisions(reached(cli._cmd_div_from_bezout)[1], _EUCLID_HELPERS)
+    assert [what for fn, _, what in found if fn == "_cmd_div_from_bezout"] == ["xgcd"]
+    in_xgcd = divisions(reached(xgcd)[1], _EUCLID_HELPERS)
+    assert sorted(d for d in found if d[0] != "_cmd_div_from_bezout") == sorted(in_xgcd)
+    assert in_xgcd
 
 
 def test_division_checker_flags_a_division():
-    def halves(a: int, b: int) -> int:
-        return a // b
-
-    def halves_a_rung(a: int) -> int:
-        return a >> 1
-
-    assert sorted(_divisions(reached(halves, halves_a_rung)[1])) == [
-        ("test_division_checker_flags_a_division.<locals>.halves", 2, "FloorDiv"),
-        ("test_division_checker_flags_a_division.<locals>.halves_a_rung", 2, "RShift"),
-    ]
     read, seen = reached(lcm)
     assert read == {"lcm", "_positive", "_integer", "_shown"}
-    assert [what for _, _, what in _divisions(seen)] == ["FloorDiv", "gcd"]
+    assert [what for _, _, what in divisions(seen, _EUCLID_HELPERS)] == ["FloorDiv", "gcd"]
 
 
 def test_division_from_bezout_rejects_bad_certificates():
@@ -643,77 +631,63 @@ def test_chain_routines_match_the_divmod_oracles_at_the_edges(a, b):
     _check_chain_routines(a, b)
 
 
-def _chain_use(source: str) -> tuple[set[str], set[str], set[str], set[str]]:
-    """Which top-level functions and methods of source name divmod, divide
-    inside a loop, call _division_chain, and call _positive. Code outside a
-    function counts as "<module>"."""
-    divmods, dividing_loops, callers, checkers = set(), set(), set(), set()
-    owners = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            owners += [(f"{node.name}.{getattr(item, 'name', '<body>')}", item) for item in node.body]
-        else:
-            owners.append((getattr(node, "name", "<module>"), node))
-    for owner, node in owners:
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Name) and inner.id == "divmod":
-                divmods.add(owner)
-            called = getattr(inner.func, "id", None) if isinstance(inner, ast.Call) else None
-            if called == "_division_chain":
-                callers.add(owner)
-            if called == "_positive":
-                checkers.add(owner)
-            if isinstance(inner, (ast.While, ast.For)) and any(
-                (isinstance(op, (ast.BinOp, ast.AugAssign)) and isinstance(op.op, _DIVIDING_OPS))
-                or (isinstance(op, ast.Name) and op.id == "divmod")
-                for op in ast.walk(inner)
-            ):
-                dividing_loops.add(owner)
-    return divmods, dividing_loops, callers, checkers
+def _chain_facts(*modules) -> tuple[set[str], ...]:
+    """Which functions, methods and module bodies reached from modules take
+    divmod, divide in a loop, name _division_chain, and name _positive."""
+    _, seen = reached(*defined_in(*modules), *modules)
+    found = divisions(seen, _EUCLID_HELPERS)
+    loops = [(f, n.lineno, n.end_lineno) for f, n, _ in seen if isinstance(n, ast.For | ast.While)]
+    return (
+        {fn for fn, _, what in found if what == "divmod"},
+        {fn for fn, line, _ in found if any(fn == g and a <= line <= b for g, a, b in loops)},
+        {fn for fn, _, value in seen if value is euclid._division_chain},
+        {fn for fn, _, value in seen if value is euclid._positive},
+    )
 
 
 def test_one_division_chain_serves_every_chain_routine():
-    divmods, dividing_loops, callers, checkers = set(), set(), set(), set()
-    for module in (euclid, cf_dynamics):
-        found = _chain_use(inspect.getsource(module))
-        divmods |= found[0]
-        dividing_loops |= found[1]
-        callers |= found[2]
-        checkers |= found[3]
+    divmods, dividing_loops, callers, checkers = _chain_facts(euclid, cf_dynamics)
     assert divmods == {"_division_chain"}
     # the two statistics scans keep their own remainder loops, which keep no
     # chain: summing over _division_chain took them 2-3x as long at a = 100437
     assert dividing_loops == {"_division_chain", "yao_knuth_stat", "average_cf_length"}
-    assert callers >= {"gcd_remainder", "gcd_subtractive", "xgcd", "cf_expand", "dynamical_run"}
+    assert callers == {"gcd_remainder", "gcd_subtractive", "xgcd", "cf_expand", "dynamical_run"}
     # the chain checks its own operands, so no reader checks them again
-    assert "_division_chain" in checkers
-    assert not callers & checkers
-    from_euclid = {
-        alias.name
-        for node in ast.parse(inspect.getsource(cf_dynamics)).body
-        if isinstance(node, ast.ImportFrom) and node.module == "euclid"
-        for alias in node.names
+    assert checkers == {
+        "_division_chain", "division_from_bezout", "gcd_many", "lcm", "lowest_terms"
     }
-    assert from_euclid == {"DEFAULT_STEP_BUDGET", "_division_chain"}
+    assert not callers & checkers
+    imports = [node for _, node, _ in reached(cf_dynamics)[1] if isinstance(node, ast.ImportFrom)]
+    from_euclid = [a.name for node in imports if node.module == "euclid" for a in node.names]
+    assert from_euclid == ["DEFAULT_STEP_BUDGET", "_division_chain"]
 
 
-def test_chain_checker_flags_a_second_chain():
-    source = textwrap.dedent(
-        """
-        def gcd(x, y):
-            while y:
-                x, y = y, x % y
-            return x
-
-        class Pair:
-            def split(self):
-                return divmod(*self)
-
-        def ratio(a, b):
-            _positive(a, "a")
-            return _division_chain(a, b)[0]
-
-        q, r = divmod(7, 2)
-        """
+def test_chain_checker_flags_a_second_chain(tmp_path):
+    (tmp_path / "second_chain.py").write_text(
+        textwrap.dedent(
+            """
+            from euclidkit.euclid import _division_chain, _positive
+            def gcd(x, y):
+                while y:
+                    x, y = y, x % y
+                return x
+            class Pair(tuple):
+                def split(self):
+                    return divmod(*self)
+            def ratio(a, b):
+                _positive(a, "a")
+                return _division_chain(a, b)[0]
+            q, r = divmod(7, 2)
+            """
+        )
     )
-    assert _chain_use(source) == ({"Pair.split", "<module>"}, {"gcd"}, {"ratio"}, {"ratio"})
+    spec = importlib.util.spec_from_file_location("second_chain", tmp_path / "second_chain.py")
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+    # ratio reaches the real chain, so its facts join the planted ones
+    assert _chain_facts(planted) == (
+        {"Pair.split", "second_chain", "_division_chain"},
+        {"gcd", "_division_chain"},
+        {"ratio"},
+        {"ratio", "_division_chain"},
+    )

@@ -161,13 +161,9 @@ def test_the_reciprocity_scan_loads_neither_fractions_nor_decimal():
         assert _after_command(*argv, watched=watched)[1] == set(), argv
 
 
-def test_dedekind_builds_its_fraction_in_a_new_interpreter():
-    result = subprocess.run(
-        [sys.executable, "-m", "euclidkit", "dedekind", "5", "101", "--format", "report"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+def test_dedekind_builds_its_fraction_in_a_new_interpreter(run_cli):
+    result = run_cli("dedekind", "5", "101", "--format", "report")
+    assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("summary value: 125/101\n")
 
 

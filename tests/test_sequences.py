@@ -1,7 +1,5 @@
 """Coprime witnesses, the prime-between-squares equivalence, and composite runs."""
 
-import ast
-import builtins
 import gc
 import hashlib
 import inspect
@@ -51,7 +49,7 @@ from oracles import (
     witness_by_pair_matrix,
     witness_by_pairwise_gcd,
 )
-from reach import mentioned, reached
+from reach import divisions, mentioned, reached
 
 # ---------------------------------------------------------------------------
 # coprime witnesses
@@ -259,13 +257,6 @@ def test_interval_scan_refuses_a_limit_past_its_default_budget(monkeypatch):
         interval_equivalence_scan(10**7)
 
 
-def _divides(node) -> bool:
-    """Whether node takes a remainder, a quotient or a true division."""
-    return isinstance(getattr(node, "op", None), (ast.Mod, ast.Div, ast.FloorDiv)) or (
-        "divmod" in (getattr(node, "id", None), getattr(node, "attr", None))
-    )
-
-
 # The w side tests no primality, and does not use non_w_max_run either: that
 # applies Euclid VII.1-2 to a window, which would restate the proof of the
 # equivalence the two sides check.
@@ -289,24 +280,17 @@ def test_witness_side_tests_no_primality():
         "_integer",
         "_shown",
         "_shares_factor",
+        "WReport.witness_value",
     }
     assert "gcd" in names
     assert not names & _NOT_ON_THE_W_SIDE
 
 
-def test_division_filter_flags_divmod_named_or_taken_as_an_attribute():
-    def splits(x: int) -> tuple:
-        return divmod(x, 3), builtins.divmod(x, 5)
-
-    found = [ast.unparse(node) for _, node, _ in reached(splits)[1] if _divides(node)]
-    assert found == ["divmod", "builtins.divmod"]
-
-
 @pytest.mark.parametrize("kernel", [_witness_index, sequences._shares_factor])
 def test_witness_kernel_takes_no_division(kernel):
-    # multiplication and gcd only: no remainder, quotient or true division,
+    # multiplication and gcd only: no remainder, quotient, true division or shift,
     # so a block's tail comes by slicing and its candidates by walking it
-    assert [ast.unparse(node) for _, node, _ in reached(kernel)[1] if _divides(node)] == []
+    assert divisions(reached(kernel)[1]) == []
 
 
 def test_prime_side_takes_no_gcd():
@@ -710,19 +694,10 @@ def test_prime_certificate_reaches_no_sieve_and_takes_no_division():
     read, names = mentioned(_certified_primes)
     assert read == {"_certified_primes"}
     assert "gcd" in names
-    forbidden = {
-        "_least_primes",
-        "primes_up_to",
-        "_window_flags",
-        "_run_divisors",
-        "factorize",
-        "smallest_prime_factor",
-        "mod",
-        "floordiv",
-        "truediv",
-    }
-    assert not forbidden & names
-    assert [ast.unparse(n) for _, n, _ in reached(_certified_primes)[1] if _divides(n)] == []
+    sieve = {"_least_primes", "primes_up_to", "_window_flags", "_run_divisors"}
+    trial_division = {"factorize", "smallest_prime_factor"}
+    assert not (sieve | trial_division) & names
+    assert divisions(reached(_certified_primes)[1]) == []
 
 
 def test_matching_on_cut_divisor_lists_equals_matching_on_full_ones():
