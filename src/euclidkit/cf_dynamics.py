@@ -142,7 +142,7 @@ def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> Dynamics
     _at_least(y, "y", 0, "dynamical_run")
     if x == 0 and y == 0:
         raise DomainError("dynamical_run needs a nonzero coordinate")
-    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET, "dynamical_run")
     if not (x and y):
         return DynamicsRun((x, y), 0, (x, y), IDENTITY)
     quotients, pairs = _division_chain(x, y)

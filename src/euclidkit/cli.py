@@ -42,8 +42,8 @@ class Report:
 
 
 def _field(value) -> str:
-    """A report value as both renderers write it. An int past the digit limit
-    reads "<n-bit integer>", as in error messages."""
+    """A report value as render writes it in either layout. An int past the
+    digit limit reads "<n-bit integer>", as in error messages."""
     if type(value) is int:  # first: most fields are ints
         return _shown(value)
     if isinstance(value, bool):
@@ -57,31 +57,25 @@ def _field(value) -> str:
     return str(value)
 
 
-def render_report(report: Report) -> str:
-    lines = [f"command: {report.command}"]
-    for key in sorted(report.parameters):
-        lines.append(f"param {key}: {report.parameters[key]}")
-    for row in report.rows:
-        lines.append("row " + " ".join(f"{k}={_field(v)}" for k, v in row.items()))
-    for key, value in report.summary.items():
-        lines.append(f"summary {key}: {_field(value)}")
-    for message in report.violations:
-        lines.append(f"violation: {message}")
-    return "\n".join(lines) + "\n"
+# format -> (parameter line, row prefix, summary line, violation prefix)
+_LAYOUTS = {
+    "report": ("param {}: {}", "row ", "summary {}: {}", "violation: "),
+    "text": ("{}={}", "  ", "{} = {}", "VIOLATION: "),
+}
 
 
-def render_text(report: Report) -> str:
-    headline = report.command
-    params = " ".join(f"{k}={report.parameters[k]}" for k in sorted(report.parameters))
-    if params:
-        headline += "  " + params
-    lines = [headline]
+def render(report: Report, fmt: str) -> str:
+    """report laid out as fmt, "text" or "report", by its entry in _LAYOUTS."""
+    param, row_prefix, summary, violation = _LAYOUTS[fmt]
+    params = [param.format(key, report.parameters[key]) for key in sorted(report.parameters)]
+    if fmt == "report":  # the command and each parameter on a line of their own
+        lines = [f"command: {report.command}", *params]
+    else:  # the parameters on the command's line, after two spaces
+        lines = [report.command + ("  " + " ".join(params) if params else "")]
     for row in report.rows:
-        lines.append("  " + " ".join(f"{k}={_field(v)}" for k, v in row.items()))
-    for key, value in report.summary.items():
-        lines.append(f"{key} = {_field(value)}")
-    for message in report.violations:
-        lines.append(f"VIOLATION: {message}")
+        lines.append(row_prefix + " ".join(f"{k}={_field(v)}" for k, v in row.items()))
+    lines += [summary.format(key, _field(value)) for key, value in report.summary.items()]
+    lines += [violation + message for message in report.violations]
     return "\n".join(lines) + "\n"
 
 
@@ -411,10 +405,7 @@ def execute(argv) -> tuple[int, Report | None]:
 def main(argv=None) -> int:
     code, report = execute(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        if report.parameters.get("format") == "report":
-            text = render_report(report)
-        else:
-            text = render_text(report)
+        text = render(report, report.parameters.get("format", "text"))
         out_path = report.parameters.get("out")
         if out_path:
             try:

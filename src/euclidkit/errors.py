@@ -42,16 +42,19 @@ def _at_least(value: int, name: str, least: int, caller: str) -> None:
         raise DomainError(f"{caller} needs {name} >= {least}, got {_shown(value)}")
 
 
-def _budget(budget: int | None, default: int) -> int:
-    """The budget a caller was given, default when it is None; anything else
-    must be an integer."""
-    return default if budget is None else _integer(budget, "budget")
+def _budget(budget: int | None, default: int, caller: str) -> int:
+    """The budget caller was given, default when it is None; anything else
+    must be an integer >= 0."""
+    if budget is None:
+        return default
+    _at_least(budget, "budget", 0, caller)
+    return budget
 
 
 def _within(value: int, budget: int | None, default: int, caller: str, bound: str) -> int:
     """The budget (as _budget gives it), once value, caller's limit, is
     checked not to exceed it; ResourceLimitError names the bound otherwise."""
-    budget = _budget(budget, default)
+    budget = _budget(budget, default, caller)
     if value > budget:
         raise ResourceLimitError(f"{caller}({_shown(value)}): {bound} is {budget}")
     return budget

@@ -178,7 +178,7 @@ def gcd_subtractive(
     not matter: for a < b the chain starts with a run of no steps.
     """
     quotients, pairs = _division_chain(a, b)
-    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET, "gcd_subtractive")
     quotients[-1] -= 1
     steps = SubtractiveSteps(zip(pairs, pairs[1:], quotients))
     if steps.length > budget:
@@ -283,11 +283,13 @@ def division_from_bezout(
     if len(fields) != 5:
         raise DomainError(f"division_from_bezout needs 5 certificate fields, got {len(fields)}")
     cert = BezoutCertificate(*fields)
-    budget = _budget(step_budget, DEFAULT_STEP_BUDGET)
+    budget = _budget(step_budget, DEFAULT_STEP_BUDGET, "division_from_bezout")
 
     def pair() -> str:  # built only when a message needs it
         return f"({_shown(a)}, {_shown(b)})"
 
+    _integer(cert.a, "cert.a")
+    _integer(cert.b, "cert.b")
     if cert.a != a or cert.b != b:
         raise CertificateMismatchError(
             f"certificate is for pair ({_shown(cert.a)}, {_shown(cert.b)}), not {pair()}"

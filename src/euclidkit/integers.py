@@ -20,7 +20,7 @@ DEFAULT_FACTOR_BUDGET = 10**7
 def smallest_prime_factor(n: int, *, step_budget: int | None = None) -> int:
     """Least prime dividing n >= 2; n is prime exactly when this returns n."""
     _at_least(n, "n", 2, "smallest_prime_factor")
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "smallest_prime_factor")
     return _trial(n, 2, budget, "smallest_prime_factor", n)
 
 
@@ -100,7 +100,7 @@ class Factorization(NamedTuple):
 def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
     """Full trial-division factorization of n >= 1."""
     _at_least(n, "n", 1, "factorize")
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "factorize")
     factors: list[tuple[int, int]] = []
     rest, d = n, 2
     while rest > 1:
@@ -129,7 +129,7 @@ def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
         raise DomainError(f"lucas_lehmer needs a prime exponent, got {_shown(p)}")
     if p == 2:
         return True
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "lucas_lehmer")
     if p - 2 > budget:
         raise ResourceLimitError(f"lucas_lehmer({_shown(p)}): exceeded {budget} squarings")
     modulus = (1 << p) - 1

@@ -111,8 +111,8 @@ def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectC
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET)
-    if (isqrt(mersenne) - 1) // 2 > max(budget, 0):  # factorize checks only inside its loop
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "perfect_from_mersenne")
+    if (isqrt(mersenne) - 1) // 2 > budget:  # factorize checks only inside its loop
         raise ResourceLimitError(f"factorize({_shown(value)}): exceeded {budget} trial divisions")
     sigma_value = sigma(value, step_budget=step_budget)
     if sigma_value != 2 * value:

@@ -322,148 +322,190 @@ options:
 # golden transcripts
 
 
-def test_gcd_report_golden(run_cli):
-    result = run_cli("gcd", "240", "46", "--trace", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == GCD_REPORT_GOLDEN
-    assert result.stderr == ""
+def run_main(capsys, *args):
+    """One invocation in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def test_gcd_text_golden(run_cli):
-    result = run_cli("gcd", "240", "46")
-    assert result.returncode == 0
-    assert result.stdout == (
-        "gcd  a=240 b=46 format=text method=remainder trace=false\n"
-        "gcd = 2\n"
-        "step_count = 5\n"
-    )
-
-
-def test_gcd_subtractive_trace_text_golden(run_cli):
-    result = run_cli("gcd", "1071", "462", "--method", "subtractive", "--trace")
-    assert result.returncode == 0
-    assert result.stdout == GCD_SUBTRACTIVE_TEXT_GOLDEN
-
-
-def test_xgcd_report_golden(run_cli):
-    result = run_cli("xgcd", "240", "46", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == XGCD_REPORT_GOLDEN
-
-
-def test_div_from_bezout_report_golden(run_cli):
-    result = run_cli("div-from-bezout", "240", "46", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == DIV_FROM_BEZOUT_REPORT_GOLDEN
-
-
-def test_div_from_bezout_with_explicit_certificate(run_cli):
-    result = run_cli(
-        "div-from-bezout", "240", "46", "--x", "-9", "--y", "47", "--g", "2"
-    )
-    assert result.returncode == 0
-    assert "quotient = 5" in result.stdout
-    assert "remainder = 10" in result.stdout
-
-
-def test_lowest_terms_report_golden(run_cli):
-    result = run_cli("lowest-terms", "240", "46", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == LOWEST_TERMS_REPORT_GOLDEN
-
-
-def test_cf_report_golden(run_cli):
-    result = run_cli("cf", "355", "113", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == CF_REPORT_GOLDEN
-
-
-def test_dynamics_report_golden(run_cli):
-    result = run_cli("dynamics", "21", "13", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == DYNAMICS_REPORT_GOLDEN
-
-
-def test_dedekind_report_golden(run_cli):
-    result = run_cli("dedekind", "5", "7", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == DEDEKIND_REPORT_GOLDEN
-
-
-def test_dedekind_text_golden(run_cli):
-    result = run_cli("dedekind", "2", "5")
-    assert result.returncode == 0
-    assert result.stdout == "dedekind  format=text h=2 k=5\nvalue = 0/1\n"
-
-
-def test_perfect_report_golden(run_cli):
-    result = run_cli("perfect", "7", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == PERFECT_REPORT_GOLDEN
-
-
-def test_euclid_extend_report_golden(run_cli):
-    result = run_cli(
-        "euclid-extend", "2", "3", "5", "7", "11", "13", "--format", "report"
-    )
-    assert result.returncode == 0
-    assert result.stdout == EUCLID_EXTEND_REPORT_GOLDEN
-
-
-def test_wseq_report_golden(run_cli):
-    result = run_cli("wseq", "2", "3", "4", "5", "6", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == WSEQ_REPORT_GOLDEN
-
-
-def test_wseq_without_witness_reports_false(run_cli):
-    result = run_cli("wseq", "2", "4", "6")
-    assert result.returncode == 0
-    assert result.stdout == (
+# Whole-output goldens, one row each: (test, argv, stdout). Every row runs in
+# this process through run_main and must exit 0 with exactly that stdout and
+# nothing on stderr. A test is a name with an optional "[id]"; the rows of a
+# name that has more than one become its parameters, so each golden keeps the
+# test id it had as a test of its own.
+OUTPUT_GOLDENS = [
+    ("gcd_report_golden", "gcd 240 46 --trace --format report", GCD_REPORT_GOLDEN),
+    (
+        "gcd_text_golden",
+        "gcd 240 46",
+        "gcd  a=240 b=46 format=text method=remainder trace=false\ngcd = 2\nstep_count = 5\n",
+    ),
+    (
+        "gcd_subtractive_trace_text_golden",
+        "gcd 1071 462 --method subtractive --trace",
+        GCD_SUBTRACTIVE_TEXT_GOLDEN,
+    ),
+    ("xgcd_report_golden", "xgcd 240 46 --format report", XGCD_REPORT_GOLDEN),
+    (
+        "div_from_bezout_report_golden",
+        "div-from-bezout 240 46 --format report",
+        DIV_FROM_BEZOUT_REPORT_GOLDEN,
+    ),
+    (
+        "div_from_bezout_with_explicit_certificate",
+        "div-from-bezout 240 46 --x -9 --y 47 --g 2",
+        "div-from-bezout  a=240 b=46 format=text g=2 x=-9 y=47\n"
+        "g = 2\ncert_x = -9\ncert_y = 47\nquotient = 5\nremainder = 10\n",
+    ),
+    (
+        "div_from_bezout_long_quotient_goldens[text]",
+        "div-from-bezout 10000000 3",
+        DIV_FROM_BEZOUT_LONG_TEXT_GOLDEN,
+    ),
+    (
+        "div_from_bezout_long_quotient_goldens[report]",
+        "div-from-bezout 10000000 3 --format report",
+        DIV_FROM_BEZOUT_LONG_REPORT_GOLDEN,
+    ),
+    (
+        "lowest_terms_report_golden",
+        "lowest-terms 240 46 --format report",
+        LOWEST_TERMS_REPORT_GOLDEN,
+    ),
+    ("cf_report_golden", "cf 355 113 --format report", CF_REPORT_GOLDEN),
+    ("dynamics_report_golden", "dynamics 21 13 --format report", DYNAMICS_REPORT_GOLDEN),
+    ("dynamics_trace_goldens[text]", "dynamics 21 13 --trace", DYNAMICS_TRACE_TEXT_GOLDEN),
+    (
+        "dynamics_trace_goldens[report]",
+        "dynamics 21 13 --trace --format report",
+        DYNAMICS_TRACE_REPORT_GOLDEN,
+    ),
+    ("dedekind_report_golden", "dedekind 5 7 --format report", DEDEKIND_REPORT_GOLDEN),
+    ("dedekind_text_golden", "dedekind 2 5", "dedekind  format=text h=2 k=5\nvalue = 0/1\n"),
+    ("perfect_report_golden", "perfect 7 --format report", PERFECT_REPORT_GOLDEN),
+    (
+        "euclid_extend_report_golden",
+        "euclid-extend 2 3 5 7 11 13 --format report",
+        EUCLID_EXTEND_REPORT_GOLDEN,
+    ),
+    ("wseq_report_golden", "wseq 2 3 4 5 6 --format report", WSEQ_REPORT_GOLDEN),
+    (
+        "wseq_without_witness_reports_false",
+        "wseq 2 4 6",
         "wseq  format=text values=2,4,6\n"
-        "is_w = false\n"
-        "witness_index = none\n"
-        "witness_value = none\n"
-    )
+        "is_w = false\nwitness_index = none\nwitness_value = none\n",
+    ),
+    (
+        "interval_equiv_report_golden",
+        "interval-equiv 4 --format report",
+        INTERVAL_EQUIV_REPORT_GOLDEN,
+    ),
+    (
+        "interval_equiv_scan",
+        "interval-equiv --scan 50",
+        "interval-equiv  format=text scan=50\nchecked = 50\nmismatches = 0\n",
+    ),
+    ("grimm_report_golden", "grimm 89 7 --format report", GRIMM_REPORT_GOLDEN),
+    ("nonw_report_golden", "nonw 2183 --max 20 --format report", NONW_REPORT_GOLDEN),
+    ("nonw_default_bound", "nonw 10", "nonw  format=text m=10\nbound = 25\nlongest_run = 0\n"),
+    # Pillai's first witness-free run of 17 (2184..2200) is still the longest
+    # with a bound of 10^4, and a 12-digit m on its default bound
+    (
+        "nonw_long_window_goldens[text-pillai-run-at-max-10000]",
+        "nonw 2183 --max 10000",
+        "nonw  format=text m=2183 max=10000\nbound = 10000\nlongest_run = 17\n",
+    ),
+    (
+        "nonw_long_window_goldens[text-twelve-digit-m-default-bound]",
+        "nonw 999999999999",
+        "nonw  format=text m=999999999999\nbound = 3054\nlongest_run = 0\n",
+    ),
+    (
+        "nonw_long_window_goldens[report-pillai-run-at-max-10000]",
+        "nonw 2183 --max 10000 --format report",
+        "command: nonw\nparam format: report\nparam m: 2183\n"
+        "param max: 10000\nsummary bound: 10000\nsummary longest_run: 17\n",
+    ),
+    (
+        "nonw_long_window_goldens[report-twelve-digit-m-default-bound]",
+        "nonw 999999999999 --format report",
+        "command: nonw\nparam format: report\nparam m: 999999999999\n"
+        "summary bound: 3054\nsummary longest_run: 0\n",
+    ),
+    (
+        "reciprocity_scan_report_golden",
+        "reciprocity-scan --limit 20 --format report",
+        RECIPROCITY_SCAN_REPORT_GOLDEN,
+    ),
+    (
+        "stats_yao_knuth_integer_lines",
+        "stats yao-knuth 1000",
+        "stats yao-knuth  a=1000 format=text\ntotal = 32519\npredicted = 29008.5079736563\n"
+        "ratio = 1.1210159457195\nmean_cf_length = 5.423\n",
+    ),
+    (
+        "scan_and_statistics_report_goldens",
+        "stats yao-knuth 1000 --format report",
+        STATS_YAO_KNUTH_REPORT_GOLDEN,
+    ),
+    (
+        "scan_and_statistics_report_goldens",
+        "perfect --scan 10000 --format report",
+        PERFECT_SCAN_REPORT_GOLDEN,
+    ),
+    (
+        "scan_and_statistics_report_goldens",
+        "grimm --scan 100 --format report",
+        GRIMM_SCAN_REPORT_GOLDEN,
+    ),
+    (
+        "scan_and_statistics_report_goldens",
+        "interval-equiv --scan 50 --format report",
+        INTERVAL_EQUIV_SCAN_REPORT_GOLDEN,
+    ),
+]
 
 
-def test_interval_equiv_report_golden(run_cli):
-    result = run_cli("interval-equiv", "4", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == INTERVAL_EQUIV_REPORT_GOLDEN
+def _golden_test(cases):
+    """The test of one name's rows, given as pytest.params of (argv, stdout):
+    parametrized by them when there is more than one."""
+    if len(cases) > 1:
+
+        @pytest.mark.parametrize("argv, stdout", cases)
+        def test(capsys, argv, stdout):
+            assert run_main(capsys, *argv) == (0, stdout, "")
+
+    else:
+
+        def test(capsys, case=cases[0].values):  # a default is no fixture
+            argv, stdout = case
+            assert run_main(capsys, *argv) == (0, stdout, "")
+
+    return test
 
 
-def test_grimm_report_golden(run_cli):
-    result = run_cli("grimm", "89", "7", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == GRIMM_REPORT_GOLDEN
+def _golden_tests(rows):
+    """Test name -> test, for the rows of OUTPUT_GOLDENS."""
+    cases = {}
+    for key, argv, stdout in rows:
+        name, _, case_id = key.partition("[")
+        cases.setdefault(f"test_{name}", []).append(
+            pytest.param(argv.split(), stdout, id=case_id.rstrip("]") or None)
+        )
+    return {name: _golden_test(params) for name, params in cases.items()}
 
 
-def test_grimm_scan_summary(run_cli):
-    result = run_cli("grimm", "--scan", "100", "--format", "report")
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
+globals().update(_golden_tests(OUTPUT_GOLDENS))
+
+
+def test_grimm_scan_summary(capsys):
+    code, out, _ = run_main(capsys, "grimm", "--scan", "100", "--format", "report")
+    assert code == 0
+    lines = out.splitlines()
     assert "row m=89 n=7 matched=true assignment=3,7,23,31,47,5,2" in lines
     assert lines[-2] == "summary runs: 24"
     assert lines[-1] == "summary matched_runs: 24"
-
-
-def test_nonw_report_golden(run_cli):
-    result = run_cli("nonw", "2183", "--max", "20", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == NONW_REPORT_GOLDEN
-
-
-def test_nonw_default_bound(run_cli):
-    result = run_cli("nonw", "10")
-    assert result.returncode == 0
-    assert result.stdout == "nonw  format=text m=10\nbound = 25\nlongest_run = 0\n"
-
-
-def test_reciprocity_scan_report_golden(run_cli):
-    result = run_cli("reciprocity-scan", "--limit", "20", "--format", "report")
-    assert result.returncode == 0
-    assert result.stdout == RECIPROCITY_SCAN_REPORT_GOLDEN
 
 
 # sha256 of `reciprocity-scan --limit 150` output in each format, the README size
@@ -492,13 +534,6 @@ def test_grimm_scan_at_the_readme_size_is_byte_identical(capsys, fmt):
     code, out, err = run_main(capsys, "grimm", "--scan", "100000", "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GRIMM_SCAN_100000_SHA256[fmt]
-
-
-def test_interval_equiv_scan(run_cli):
-    result = run_cli("interval-equiv", "--scan", "50", "--format", "report")
-    assert result.returncode == 0
-    assert "summary checked: 50" in result.stdout
-    assert "summary mismatches: 0" in result.stdout
 
 
 # sha256 of `interval-equiv --scan 2000` output in each format, the README size
@@ -533,82 +568,6 @@ def test_a_single_large_window_keeps_a_small_peak():
     assert result.returncode == 0
     assert result.stdout.endswith("prime_exists = true\nis_w = true\nequal = true\n")
     assert int(result.stderr) <= 60 * 1024  # KiB
-
-
-def test_stats_yao_knuth_integer_lines(run_cli):
-    result = run_cli("stats", "yao-knuth", "1000", "--format", "report")
-    assert result.returncode == 0
-    assert "summary total: 32519" in result.stdout
-
-
-def run_main(capsys, *args):
-    """One invocation in this process: (exit code, stdout, stderr)."""
-    code = cli.main(list(args))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["stats", "yao-knuth", "1000"], STATS_YAO_KNUTH_REPORT_GOLDEN),
-        (["perfect", "--scan", "10000"], PERFECT_SCAN_REPORT_GOLDEN),
-        (["grimm", "--scan", "100"], GRIMM_SCAN_REPORT_GOLDEN),
-        (["interval-equiv", "--scan", "50"], INTERVAL_EQUIV_SCAN_REPORT_GOLDEN),
-    ],
-)
-def test_scan_and_statistics_report_goldens(capsys, argv, golden):
-    assert run_main(capsys, *argv, "--format", "report") == (0, golden, "")
-
-
-# Long windows: Pillai's first witness-free run of 17 (2184..2200) is still
-# the longest with a bound of 10^4, and a 12-digit m on its default bound.
-@pytest.mark.parametrize(
-    "argv, goldens",
-    [
-        pytest.param(
-            ["nonw", "2183", "--max", "10000"],
-            {
-                "text": "nonw  format=text m=2183 max=10000\nbound = 10000\nlongest_run = 17\n",
-                "report": "command: nonw\nparam format: report\nparam m: 2183\n"
-                "param max: 10000\nsummary bound: 10000\nsummary longest_run: 17\n",
-            },
-            id="pillai-run-at-max-10000",
-        ),
-        pytest.param(
-            ["nonw", "999999999999"],
-            {
-                "text": "nonw  format=text m=999999999999\nbound = 3054\nlongest_run = 0\n",
-                "report": "command: nonw\nparam format: report\nparam m: 999999999999\n"
-                "summary bound: 3054\nsummary longest_run: 0\n",
-            },
-            id="twelve-digit-m-default-bound",
-        ),
-    ],
-)
-@pytest.mark.parametrize("fmt", ["text", "report"])
-def test_nonw_long_window_goldens(capsys, argv, goldens, fmt):
-    assert run_main(capsys, *argv, "--format", fmt) == (0, goldens[fmt], "")
-
-
-def test_dynamics_trace_goldens(capsys):
-    argv = ["dynamics", "21", "13", "--trace"]
-    assert run_main(capsys, *argv) == (0, DYNAMICS_TRACE_TEXT_GOLDEN, "")
-    assert run_main(capsys, *argv, "--format", "report") == (
-        0,
-        DYNAMICS_TRACE_REPORT_GOLDEN,
-        "",
-    )
-
-
-def test_div_from_bezout_long_quotient_goldens(capsys):
-    argv = ["div-from-bezout", "10000000", "3"]
-    assert run_main(capsys, *argv) == (0, DIV_FROM_BEZOUT_LONG_TEXT_GOLDEN, "")
-    assert run_main(capsys, *argv, "--format", "report") == (
-        0,
-        DIV_FROM_BEZOUT_LONG_REPORT_GOLDEN,
-        "",
-    )
 
 
 def test_dynamics_trace_flags_a_run_the_step_matrices_do_not_replay(capsys, monkeypatch):
@@ -834,6 +793,18 @@ ERROR_GOLDENS = [
             "violation: gcd_subtractive(1000000, 1): exceeded 10 subtraction steps\n",
         },
         id="gcd-subtractive-budget",
+    ),
+    pytest.param(
+        ["gcd", "5", "3", "--method", "subtractive", "--budget", "-1"],
+        2,
+        {
+            "text": "gcd  a=5 b=3 budget=-1 format=text method=subtractive trace=false\n"
+            "VIOLATION: gcd_subtractive needs budget >= 0, got -1\n",
+            "report": "command: gcd\nparam a: 5\nparam b: 3\nparam budget: -1\n"
+            "param format: report\nparam method: subtractive\nparam trace: false\n"
+            "violation: gcd_subtractive needs budget >= 0, got -1\n",
+        },
+        id="gcd-subtractive-negative-budget",
     ),
     pytest.param(
         ["reciprocity-scan", "--limit", "-3"],
@@ -1140,11 +1111,10 @@ def test_the_parser_registers_every_command_when_argv_names_none(argv):
 # output file
 
 
-def test_out_flag_writes_the_report(tmp_path, run_cli):
+def test_out_flag_writes_the_report(capsys, tmp_path):
     out_path = tmp_path / "run.txt"
-    result = run_cli("gcd", "240", "46", "--format", "report", "--out", str(out_path))
-    assert result.returncode == 0
-    assert result.stdout == ""
+    argv = ["gcd", "240", "46", "--format", "report", "--out", str(out_path)]
+    assert run_main(capsys, *argv) == (0, "", "")
     content = out_path.read_text(encoding="utf-8")
     assert "summary gcd: 2" in content
     assert f"param out: {out_path}" in content
@@ -1245,10 +1215,10 @@ def test_text_and_report_formats_carry_identical_values():
         report_code, report_report = cli.execute([*argv, "--format", "report"])
         assert text_code == report_code, argv
         t_cmd, t_params, t_rows, t_summary, t_violations = _parse_text(
-            cli.render_text(text_report)
+            cli.render(text_report, "text")
         )
         r_cmd, r_params, r_rows, r_summary, r_violations = _parse_report(
-            cli.render_report(report_report)
+            cli.render(report_report, "report")
         )
         assert t_cmd == r_cmd, argv
         t_params.pop("format")
@@ -1304,8 +1274,8 @@ def test_no_input_escapes_as_an_exception(argvs):
     for argv in argvs:
         code, report = cli.execute(argv)
         assert code in (0, 1, 2, 3), argv
-        cli.render_text(report)
-        cli.render_report(report)
+        cli.render(report, "text")
+        cli.render(report, "report")
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,7 @@ def test_division_from_bezout_divides_nowhere():
         "_ladder",
         "_positive",
         "_budget",
+        "_at_least",
         "_items",
         "_integer",
         "_shown",
@@ -433,6 +434,14 @@ def test_division_from_bezout_rejects_bad_certificates():
     with pytest.raises(DomainError) as exc:
         division_from_bezout(240, 46, (240, 46, 2))
     assert str(exc.value) == "division_from_bezout needs 5 certificate fields, got 3"
+    # a and b are integers before they are compared with the pair: 240.0 == 240
+    for pair, record, refusal in [
+        ((240, 46), (240.0, 46, 2, -9, 47), "cert.a must be an integer, got float"),
+        ((1, 1), (True, 1, 1, 1, 0), "cert.a must be an integer, got bool"),
+        ((240, 46), (240, 46.0, 2, -9, 47), "cert.b must be an integer, got float"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{refusal}$"):
+            division_from_bezout(*pair, record)
 
 
 @pytest.mark.parametrize(

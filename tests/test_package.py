@@ -245,20 +245,33 @@ def test_budgets_must_be_integers(name, budget):
         op(*args, **{keyword: budget})
 
 
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_a_negative_budget_is_refused_and_a_zero_one_is_a_budget(name):
+    # the shared gate names the function that checked the budget: the
+    # primitive itself or the one it hands the budget to
+    op, args = getattr(euclidkit, name), BUDGETED[name]
+    keyword = _budget_keyword(op)
+    with pytest.raises(euclidkit.DomainError, match=r"^\w+ needs budget >= 0, got -1$"):
+        op(*args, **{keyword: -1})
+    try:
+        assert op(*args, **{keyword: 0}) == op(*args)
+    except euclidkit.ResourceLimitError:
+        pass  # too small a budget for these arguments, not a bad one
+
+
 @pytest.mark.parametrize(
     "budget, refusal",
     [
         ("10", "budget must be an integer, got str"),
         (1.5, "budget must be an integer, got float"),
         (True, "budget must be an integer, got bool"),
-        (-1, None),
+        (-1, "gcd_subtractive needs budget >= 0, got -1"),
     ],
     ids=["str", "float", "bool", "negative"],
 )
 def test_coprime_by_prop1_checks_its_budget_at_one_one(budget, refusal):
     # (1, 1) walks the subtraction chain like any other pair
     assert euclidkit.coprime_by_prop1(1, 1)
-    error = euclidkit.ResourceLimitError if refusal is None else euclidkit.DomainError
-    with pytest.raises(error) as exc:
+    with pytest.raises(euclidkit.DomainError) as exc:
         euclidkit.coprime_by_prop1(1, 1, step_budget=budget)
-    assert refusal is None or str(exc.value) == refusal
+    assert str(exc.value) == refusal
