@@ -291,8 +291,8 @@ def _cmd_grimm(args, report: Report) -> None:
 def _cmd_nonw(args, report: Report) -> None:
     """longest witness-free run from m+1"""
     from . import sequences
+    result = sequences.non_w_max_run(args.m, args.max)  # checks m before any bound is taken
     bound = args.max if args.max is not None else sequences.default_window_bound(args.m)
-    result = sequences.non_w_max_run(args.m, bound)
     report.summary.update(bound=bound, longest_run=result)
 
 

@@ -125,22 +125,30 @@ class EuclidTrace(NamedTuple):
 
 
 class BezoutCertificate(NamedTuple):
-    """A claimed certificate: integers x, y with a*x + b*y = g. The record
-    checks nothing when built, and holds() checks only that identity, not
-    that g is gcd(a, b). xgcd returns records whose g is the gcd;
-    division_from_bezout checks that g is the gcd before it uses one."""
+    """A claimed certificate that g = gcd(a, b): integers x, y with
+    a*x + b*y = g, and the cofactors u = a/g and v = b/g. The record checks
+    nothing when built; holds() checks the claim. A record built from the
+    first five fields alone has u = v = None and proves nothing about g.
+    xgcd returns complete records."""
 
     a: int
     b: int
     g: int
     x: int
     y: int
+    u: int | None = None
+    v: int | None = None
 
     def holds(self) -> bool:
-        """Whether a*x + b*y == g. That shows only that gcd(a, b) divides g
-        (BezoutCertificate(4, 6, 4, 1, 0) holds); division_from_bezout is
-        what refuses a g that is not the gcd."""
-        return self.a * self.x + self.b * self.y == self.g
+        """Whether the record proves g = gcd(a, b): a*x + b*y == g, g >= 1,
+        g*u == a and g*v == b. Then g divides a and b, and every common
+        divisor of a and b divides g. Multiplication and comparison alone
+        check it. A record without cofactors does not hold, nor does one
+        with a field that is not an int (a float, a bool, a str)."""
+        if set(map(type, self)) != {int}:
+            return False
+        a, b, g, x, y, u, v = self
+        return g >= 1 and g * u == a and g * v == b and a * x + b * y == g
 
 
 def _positive(value: int, name: str) -> int:
@@ -199,7 +207,8 @@ def gcd_remainder(a: int, b: int) -> tuple[int, EuclidTrace]:
 
 
 def xgcd(a: int, b: int) -> BezoutCertificate:
-    """Bezout certificate a*x + b*y = gcd(a, b).
+    """Complete Bezout certificate a*x + b*y = g = gcd(a, b), with the
+    cofactors u = a // g and v = b // g.
 
     The coefficients are fixed by back-substitution over the quotient list
     of the division chain: start from the last division, where
@@ -210,7 +219,8 @@ def xgcd(a: int, b: int) -> BezoutCertificate:
     x, y = 0, 1
     for q in reversed(quotients[:-1]):
         x, y = y, x - q * y
-    return BezoutCertificate(a, b, pairs[-2], x, y)
+    g = pairs[-2]
+    return BezoutCertificate(a, b, g, x, y, a // g, b // g)
 
 
 def gcd_many(values) -> int:
@@ -272,46 +282,67 @@ def division_from_bezout(
     Every certificate a*x + b*y = g, whatever the sign of x, gives
     a = b*(1 - x - y) + t with t = (x - 1)*(b - a) + g, so the quotient is
     1 - x - y + floor(t/b) and the remainder is what that floor leaves of t.
-    The floor comes from a doubling ladder (_ladder), and so does the gcd
-    that validates g: a remainder chain whose remainders the ladder finds.
-    Each ladder may take step_budget doublings. cert may be any record of
-    the five fields a, b, g, x, y; anything else is a DomainError.
+    The floor comes from a doubling ladder (_ladder). cert may be any record
+    of the five fields a, b, g, x, y or of the seven with the cofactors u, v;
+    anything else is a DomainError. A complete certificate proves g = gcd(a, b)
+    by multiplication: g >= 1, g*u == a and g*v == b. Without cofactors
+    (u = v = None too) g is validated by a remainder chain whose remainders
+    the ladder finds. Each ladder may take step_budget doublings.
     """
     _positive(a, "a")
     _positive(b, "b")
     fields = _items(cert, "division_from_bezout")
-    if len(fields) != 5:
-        raise DomainError(f"division_from_bezout needs 5 certificate fields, got {len(fields)}")
-    cert = BezoutCertificate(*fields)
+    if len(fields) == 5:
+        fields += (None, None)
+    elif len(fields) != 7:
+        raise DomainError(
+            f"division_from_bezout needs 5 or 7 certificate fields, got {len(fields)}"
+        )
+    cert_a, cert_b, g, x, y, u, v = fields
     budget = _budget(step_budget, DEFAULT_STEP_BUDGET, "division_from_bezout")
 
     def pair() -> str:  # built only when a message needs it
         return f"({_shown(a)}, {_shown(b)})"
 
-    _integer(cert.a, "cert.a")
-    _integer(cert.b, "cert.b")
-    if cert.a != a or cert.b != b:
-        raise CertificateMismatchError(
-            f"certificate is for pair ({_shown(cert.a)}, {_shown(cert.b)}), not {pair()}"
-        )
-    _integer(cert.g, "cert.g")
-    _integer(cert.x, "cert.x")
-    _integer(cert.y, "cert.y")
-    if not cert.holds():
-        raise CertificateMismatchError(
-            f"certificate identity fails: {_shown(a)}*{_shown(cert.x)}"
-            f" + {_shown(b)}*{_shown(cert.y)} != {_shown(cert.g)}"
-        )
-    hi, lo = a, b
-    validation = lambda: f"gcd validation for {pair()}"
-    while lo:
-        hi, lo = lo, _ladder(hi, lo, budget, validation)[1]
-    if cert.g != hi:
-        raise CertificateMismatchError(f"certificate g = {_shown(cert.g)} is not gcd{pair()}")
+    def not_gcd() -> CertificateMismatchError:
+        return CertificateMismatchError(f"certificate g = {_shown(g)} is not gcd{pair()}")
 
-    t = (cert.x - 1) * (b - a) + cert.g
+    _integer(cert_a, "cert.a")
+    _integer(cert_b, "cert.b")
+    if cert_a != a or cert_b != b:
+        raise CertificateMismatchError(
+            f"certificate is for pair ({_shown(cert_a)}, {_shown(cert_b)}), not {pair()}"
+        )
+    _integer(g, "cert.g")
+    _integer(x, "cert.x")
+    _integer(y, "cert.y")
+    if a * x + b * y != g:
+        raise CertificateMismatchError(
+            f"certificate identity fails: {_shown(a)}*{_shown(x)}"
+            f" + {_shown(b)}*{_shown(y)} != {_shown(g)}"
+        )
+    if u is None and v is None:
+        hi, lo = a, b
+        validation = lambda: f"gcd validation for {pair()}"
+        while lo:
+            hi, lo = lo, _ladder(hi, lo, budget, validation)[1]
+        if g != hi:
+            raise not_gcd()
+    else:
+        _integer(u, "cert.u")
+        _integer(v, "cert.v")
+        if g < 1:  # g = -1 with u = -a and v = -b passes the products
+            raise not_gcd()
+        for name, cofactor, value in (("u", u, a), ("v", v, b)):
+            if g * cofactor != value:
+                raise CertificateMismatchError(
+                    f"certificate cofactor {name} = {_shown(cofactor)} fails:"
+                    f" {_shown(g)}*{_shown(cofactor)} != {_shown(value)}"
+                )
+
+    t = (x - 1) * (b - a) + g
     floor, r = _ladder(abs(t), b, budget, lambda: f"division_from_bezout{pair()}:")
     if t < 0:
         # -t = floor*b + r, so t = -(floor + 1)*b + (b - r), or -floor*b if r = 0
         floor, r = (-floor, 0) if r == 0 else (-floor - 1, b - r)
-    return 1 - cert.x - cert.y + floor, r
+    return 1 - x - y + floor, r

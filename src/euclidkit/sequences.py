@@ -343,13 +343,16 @@ def default_window_bound(m: int) -> int:
     return min(DEFAULT_SIEVE_LIMIT, max(1, ceil(4 * log(m + 2) ** 2)))
 
 
-def non_w_max_run(m: int, n_max: int) -> int:
+def non_w_max_run(m: int, n_max: int | None = None) -> int:
     """Largest n <= n_max such that m+1 .. m+n has no coprime witness (0 if
-    every length has one). A number measuring v and v + d measures d (Euclid
-    VII.1-2), so m + i witnesses exactly the lengths i <= n < i + L when
-    i <= L, L the least prime dividing m + i (n_max + 1 if none is <= n_max):
-    one sieve pass gives every L, and one pass over n the last length left."""
+    every length has one); n_max defaults to default_window_bound(m). A
+    number measuring v and v + d measures d (Euclid VII.1-2), so m + i
+    witnesses exactly the lengths i <= n < i + L when i <= L, L the least
+    prime dividing m + i (n_max + 1 if none is <= n_max): one sieve pass
+    gives every L, and one pass over n the last length left."""
     _at_least(m, "m", 0, "non_w_max_run")
+    if n_max is None:
+        n_max = default_window_bound(m)
     _at_least(n_max, "n_max", 1, "non_w_max_run")
     primes = primes_up_to(n_max)  # refuses n_max past the sieve limit before allocating
     least = _least_primes(m, array("I", [n_max + 1]) * (n_max + 1), primes)  # L for each m + i

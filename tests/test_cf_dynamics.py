@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euclidkit import (
@@ -18,6 +18,7 @@ from euclidkit import (
     gcd_remainder,
     gcd_subtractive,
     lowest_terms,
+    xgcd,
     yao_knuth_stat,
 )
 from euclidkit.cf_dynamics import BOTTOM_MINUS_TOP, IDENTITY, TOP_MINUS_BOTTOM
@@ -209,6 +210,29 @@ def test_bezout_coefficients_read_off_the_product_row_up_to_200():
             m = run.product
             u, v = (m.m11, m.m12) if run.terminal[0] == d else (m.m21, m.m22)
             assert u * x + v * y == d
+
+
+def _cofactors_from_the_product(a: int, b: int) -> tuple[int, int]:
+    # the orbit ends at (0, g), so m11*a + m12*b = 0 with m11, m12 coprime
+    # (the determinant is 1): |m12| = a/g and |m11| = b/g
+    m = dynamical_run(a, b, step_budget=sum(cf_expand(a, b).quotients)).product
+    return abs(m.m12), abs(m.m11)
+
+
+def test_the_product_row_gives_the_xgcd_cofactors_up_to_200():
+    for a in range(1, 201):
+        for b in range(1, 201):
+            cert = xgcd(a, b)
+            assert _cofactors_from_the_product(a, b) == (cert.u, cert.v)
+
+
+@settings(deadline=None)
+@given(a=st.integers(1, 10**300), b=st.integers(1, 10**300), common=st.integers(1, 10**20))
+def test_the_product_row_gives_the_xgcd_cofactors(a, b, common):
+    a, b = a * common, b * common
+    cert = xgcd(a, b)
+    assert _cofactors_from_the_product(a, b) == (cert.u, cert.v)
+    assert cert.holds()
 
 
 def test_dynamics_step_count_is_subtractive_plus_trailing_up_to_200():

@@ -369,6 +369,13 @@ OUTPUT_GOLDENS = [
         DIV_FROM_BEZOUT_LONG_REPORT_GOLDEN,
     ),
     (
+        # the complete certificate needs no gcd validation, and its floor ladder
+        # no doubling (t = 1), so a budget of 5 is enough
+        "div_from_bezout_complete_certificate_within_budget",
+        "div-from-bezout 10000000 3 --budget 5",
+        DIV_FROM_BEZOUT_LONG_TEXT_GOLDEN.replace("format=text", "budget=5 format=text"),
+    ),
+    (
         "lowest_terms_report_golden",
         "lowest-terms 240 46 --format report",
         LOWEST_TERMS_REPORT_GOLDEN,
@@ -770,17 +777,30 @@ ERROR_GOLDENS = [
         },
         id="gcd-domain",
     ),
-    pytest.param(
-        ["div-from-bezout", "10000000", "3", "--budget", "5"],
+    pytest.param(  # five fields: g is validated by a remainder chain of ladders
+        ["div-from-bezout", "10000000", "3", "--x", "1", "--y", "-3333333", "--g", "1"]
+        + ["--budget", "5"],
         3,
         {
-            "text": "div-from-bezout  a=10000000 b=3 budget=5 format=text\n"
+            "text": "div-from-bezout  a=10000000 b=3 budget=5 format=text g=1 x=1 y=-3333333\n"
             "VIOLATION: gcd validation for (10000000, 3) exceeded 5 doubling steps\n",
             "report": "command: div-from-bezout\nparam a: 10000000\nparam b: 3\n"
-            "param budget: 5\nparam format: report\n"
+            "param budget: 5\nparam format: report\nparam g: 1\nparam x: 1\nparam y: -3333333\n"
             "violation: gcd validation for (10000000, 3) exceeded 5 doubling steps\n",
         },
         id="div-from-bezout-budget",
+    ),
+    pytest.param(  # xgcd's complete certificate: the floor ladder is the only one
+        ["div-from-bezout", "46", "240", "--budget", "4"],
+        3,
+        {
+            "text": "div-from-bezout  a=46 b=240 budget=4 format=text\n"
+            "VIOLATION: division_from_bezout(46, 240): exceeded 4 doubling steps\n",
+            "report": "command: div-from-bezout\nparam a: 46\nparam b: 240\n"
+            "param budget: 4\nparam format: report\n"
+            "violation: division_from_bezout(46, 240): exceeded 4 doubling steps\n",
+        },
+        id="div-from-bezout-floor-budget",
     ),
     pytest.param(
         ["gcd", "1000000", "1", "--method", "subtractive", "--budget", "10"],
@@ -885,6 +905,26 @@ ERROR_GOLDENS = [
             "param n: 7\nviolation: factorize(91): exceeded 1 trial divisions\n",
         },
         id="grimm-assign-budget",
+    ),
+    pytest.param(
+        ["nonw", "-3"],
+        2,
+        {
+            "text": "nonw  format=text m=-3\nVIOLATION: non_w_max_run needs m >= 0, got -3\n",
+            "report": "command: nonw\nparam format: report\nparam m: -3\n"
+            "violation: non_w_max_run needs m >= 0, got -3\n",
+        },
+        id="nonw-negative-m",
+    ),
+    pytest.param(
+        ["nonw", "-3", "--max", "5"],
+        2,
+        {
+            "text": "nonw  format=text m=-3 max=5\nVIOLATION: non_w_max_run needs m >= 0, got -3\n",
+            "report": "command: nonw\nparam format: report\nparam m: -3\nparam max: 5\n"
+            "violation: non_w_max_run needs m >= 0, got -3\n",
+        },
+        id="nonw-negative-m-with-max",
     ),
     pytest.param(
         ["nonw", "0", "--max", "10000001"],

@@ -96,16 +96,18 @@ def test_records_are_named_tuples_with_the_readme_repr():
     cert = xgcd(240, 46)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert f"# {cert!r}\n" in readme
-    assert repr(cert) == "BezoutCertificate(a=240, b=46, g=2, x=-9, y=47)"
+    assert repr(cert) == "BezoutCertificate(a=240, b=46, g=2, x=-9, y=47, u=120, v=23)"
     with pytest.raises(AttributeError):
         cert.x = 0
     with pytest.raises(AttributeError):
         cert.note = "extra"
-    assert cert == (240, 46, 2, -9, 47)
-    a, b, g, x, y = cert
-    assert (len(cert), a * x + b * y) == (5, g)
-    assert cert._replace(x=14, y=-73) == BezoutCertificate(240, 46, 2, 14, -73)
-    assert cert._asdict() == {"a": 240, "b": 46, "g": 2, "x": -9, "y": 47}
+    assert cert == (240, 46, 2, -9, 47, 120, 23)
+    a, b, g, x, y, u, v = cert
+    assert (len(cert), a * x + b * y, g * u, g * v) == (7, g, a, b)
+    assert cert._replace(x=14, y=-73) == BezoutCertificate(240, 46, 2, 14, -73, 120, 23)
+    assert cert._asdict() == {"a": 240, "b": 46, "g": 2, "x": -9, "y": 47, "u": 120, "v": 23}
+    # five fields still build a record; its cofactors are None
+    assert BezoutCertificate(240, 46, 2, -9, 47) == (240, 46, 2, -9, 47, None, None)
     _, trace = gcd_remainder(240, 46)
     assert trace == ("remainder", trace.steps)
     assert trace.steps[0] == EuclidStep(240, 46, 5, 10) == (240, 46, 5, 10)
@@ -287,7 +289,7 @@ def test_division_from_bezout_branch_certificates():
 
 
 def test_division_from_bezout_normalizes_negative_x():
-    cert = BezoutCertificate(240, 46, 2, -9 - 46, 47 + 240)
+    cert = BezoutCertificate(240, 46, 2, -9 - 46, 47 + 240, 120, 23)
     assert cert.holds()
     assert division_from_bezout(240, 46, cert) == (5, 10)
 
@@ -323,17 +325,17 @@ def test_division_from_bezout_on_long_pairs_and_shifted_certificates(a, b, scale
     a, b = a * scale, b * scale
     for a, b in [(a, b), (b, a)]:
         base = xgcd(a, b)
-        g = base.g
-        cert = BezoutCertificate(a, b, g, base.x + shift * (b // g), base.y - shift * (a // g))
+        cert = base._replace(x=base.x + shift * base.v, y=base.y - shift * base.u)
         assert cert.holds()
         assert division_from_bezout(a, b, cert) == divmod(a, b)
 
 
 def test_division_from_bezout_budget_counts_doublings_per_ladder():
-    # gcd validation: 1024 = 1 * 2**10 takes 10 doublings
-    assert division_from_bezout(1024, 1, xgcd(1024, 1), step_budget=10) == (1024, 0)
+    # five fields, so g is validated: 1024 = 1 * 2**10 takes 10 doublings
+    five = xgcd(1024, 1)[:5]
+    assert division_from_bezout(1024, 1, five, step_budget=10) == (1024, 0)
     with pytest.raises(ResourceLimitError) as exc:
-        division_from_bezout(1024, 1, xgcd(1024, 1), step_budget=9)
+        division_from_bezout(1024, 1, five, step_budget=9)
     assert str(exc.value) == "gcd validation for (1024, 1) exceeded 9 doubling steps"
     # the floor: this shifted certificate has t = 1 - 2k = -2047, and
     # 2 * 2**9 <= 2047 < 2 * 2**10 takes 9 doublings; validating gcd(3, 2) one
@@ -343,6 +345,75 @@ def test_division_from_bezout_budget_counts_doublings_per_ladder():
     with pytest.raises(ResourceLimitError) as exc:
         division_from_bezout(3, 2, cert, step_budget=8)
     assert str(exc.value) == "division_from_bezout(3, 2): exceeded 8 doubling steps"
+
+
+def test_a_complete_certificate_runs_the_floor_ladder_alone():
+    # 10**7 = 3 * 3333333 + 1: xgcd's certificate has t = 1, so no ladder
+    # climbs; the same five fields climb 21 rungs of 3 to validate g = 1
+    cert = xgcd(10**7, 3)
+    assert division_from_bezout(10**7, 3, cert, step_budget=0) == (3333333, 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        division_from_bezout(10**7, 3, cert[:5], step_budget=5)
+    assert str(exc.value) == "gcd validation for (10000000, 3) exceeded 5 doubling steps"
+    # with the cofactors, the shifted certificate above takes its 9 floor doublings alone
+    k = 2**10
+    cert = BezoutCertificate(3, 2, 1, 1 + 2 * k, -1 - 3 * k, 3, 2)
+    assert division_from_bezout(3, 2, cert, step_budget=9) == (1, 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        division_from_bezout(3, 2, cert, step_budget=8)
+    assert str(exc.value) == "division_from_bezout(3, 2): exceeded 8 doubling steps"
+
+
+def _tampered_cofactors(cert):
+    """(record, error) for each way of spoiling a complete certificate's cofactors."""
+    u, v = cert.u, cert.v
+    wrong = [{"u": u + 1}, {"u": u - 1}, {"v": v + 1}, {"v": v - 1}]
+    if u != v:
+        wrong.append({"u": v, "v": u})
+    # every sign negated passes the products
+    wrong.append({"g": -cert.g, "x": -cert.x, "y": -cert.y, "u": -u, "v": -v})
+    not_ints = [{"u": float(u)}, {"v": str(v)}, {"v": None}]  # one cofactor is no certificate
+    return [(cert._replace(**fields), CertificateMismatchError) for fields in wrong] + [
+        (cert._replace(**fields), DomainError) for fields in not_ints
+    ]
+
+
+@settings(deadline=None)
+@given(
+    a=st.integers(1, 10**280),
+    b=st.integers(1, 10**280),
+    common=st.integers(1, 10**20),
+    shift=st.integers(-(10**6), 10**6),
+)
+def test_the_validation_chain_is_the_oracle_for_the_cofactor_check(a, b, common, shift):
+    a, b = a * common, b * common
+    base = xgcd(a, b)
+    cert = base._replace(x=base.x + shift * base.v, y=base.y - shift * base.u)
+    assert cert.holds()
+    assert division_from_bezout(a, b, cert) == division_from_bezout(a, b, cert[:5]) == divmod(a, b)
+    for record, error in _tampered_cofactors(cert):
+        assert not record.holds()
+        with pytest.raises(error):
+            division_from_bezout(a, b, record)
+
+
+def test_a_tampered_cofactor_is_named():
+    good = xgcd(240, 46)
+    refusals = [
+        str(pytest.raises(error, division_from_bezout, 240, 46, record).value)
+        for record, error in _tampered_cofactors(good)
+    ]
+    assert refusals == [
+        "certificate cofactor u = 121 fails: 2*121 != 240",
+        "certificate cofactor u = 119 fails: 2*119 != 240",
+        "certificate cofactor v = 24 fails: 2*24 != 46",
+        "certificate cofactor v = 22 fails: 2*22 != 46",
+        "certificate cofactor u = 23 fails: 2*23 != 240",
+        "certificate g = -2 is not gcd(240, 46)",
+        "cert.u must be an integer, got float",
+        "cert.v must be an integer, got str",
+        "cert.v must be an integer, got NoneType",
+    ]
 
 
 def test_division_from_bezout_memory_stays_linear_in_the_input():
@@ -433,7 +504,7 @@ def test_division_from_bezout_rejects_bad_certificates():
         division_from_bezout(240, 46, None)
     with pytest.raises(DomainError) as exc:
         division_from_bezout(240, 46, (240, 46, 2))
-    assert str(exc.value) == "division_from_bezout needs 5 certificate fields, got 3"
+    assert str(exc.value) == "division_from_bezout needs 5 or 7 certificate fields, got 3"
     # a and b are integers before they are compared with the pair: 240.0 == 240
     for pair, record, refusal in [
         ((240, 46), (240.0, 46, 2, -9, 47), "cert.a must be an integer, got float"),
@@ -469,6 +540,50 @@ def test_bezout_identity_holds_on_random_pairs(a, b):
     cert = xgcd(a, b)
     assert cert.holds()
     assert cert.g == builtin_gcd(a, b)
+
+
+@given(
+    a=st.integers(1, 10**40),
+    b=st.integers(1, 10**40),
+    k=st.integers(-4, 4),
+    shift=st.integers(-3, 3),
+)
+def test_holds_exactly_when_g_is_the_gcd(a, b, k, shift):
+    cert = xgcd(a, b)
+    g0, u0, v0 = cert.g, cert.u, cert.v
+    assert cert.holds()
+    assert not BezoutCertificate(*cert[:5]).holds()  # no cofactors, no proof
+    # every a*x + b*y = g has g = k*gcd(a, b): scale a shifted Bezout pair by k,
+    # and try the cofactors nearest to a/g and b/g
+    g, x, y = k * g0, k * (cert.x + shift * v0), k * (cert.y - shift * u0)
+    assert a * x + b * y == g
+    cofactors = {(u0, v0), (-u0, -v0)}
+    if g:
+        cofactors |= {(a // g, b // g), (-(-a // g), -(-b // g))}
+    for u, v in cofactors:
+        proved = k == 1 and (u, v) == (u0, v0)
+        assert BezoutCertificate(a, b, g, x, y, u, v).holds() == proved
+    # g = -gcd with every sign negated passes the products, and g >= 1 refuses it
+    assert not BezoutCertificate(a, b, -g0, -cert.x, -cert.y, -u0, -v0).holds()
+    if b % a:  # g = a with (x, y) = (1, 0), when a is not the gcd
+        for v in (b // a, b // a + 1):
+            assert not BezoutCertificate(a, b, a, 1, 0, 1, v).holds()
+
+
+def test_an_identity_with_a_wrong_g_does_not_hold():
+    assert BezoutCertificate(4, 6, 4, 1, 0).u is None
+    for u, v in [(None, None), (1, 1), (1, 2), (2, 3)]:
+        assert not BezoutCertificate(4, 6, 4, 1, 0, u, v).holds()
+    assert BezoutCertificate(4, 6, 2, -1, 1, 2, 3).holds()
+    # a field that is not an int proves nothing: 2 * "23" is a str, 2 * 23.0 a float
+    assert not BezoutCertificate(240, 46, 2, -9, 47, 120, 23.0).holds()
+    assert not BezoutCertificate(240, 46, 2, -9, 47, 120, "23").holds()
+
+
+def test_holds_only_multiplies_and_compares():
+    read, seen = reached(BezoutCertificate.holds)
+    assert read == {"BezoutCertificate.holds"}
+    assert divisions(seen, _EUCLID_HELPERS) == []
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +712,8 @@ def _check_chain_routines(a: int, b: int) -> None:
     assert g == chain[-1][1]
     assert trace.steps == tuple(chain)
     assert all(type(step) is EuclidStep for step in trace.steps)
-    assert tuple(xgcd(a, b)) == (a, b, *bezout_by_back_substitution(a, b))
+    g_oracle, x, y = bezout_by_back_substitution(a, b)
+    assert tuple(xgcd(a, b)) == (a, b, g_oracle, x, y, a // g_oracle, b // g_oracle)
     assert cf_expand(a, b).quotients == tuple(quotients)
     g_sub, sub = gcd_subtractive(a, b, step_budget=total)
     assert g_sub == g

@@ -802,3 +802,15 @@ def test_non_w_max_run_domain_and_cap():
         match=r"^primes_up_to\(<16610-bit integer>\): sieve limit is 10000000$",
     ):
         non_w_max_run(10, 10**5000)
+
+
+@pytest.mark.parametrize("m", [0, 10, 2183, 999_999_999_999])
+def test_non_w_max_run_defaults_to_the_window_bound(m):
+    assert non_w_max_run(m) == non_w_max_run(m, default_window_bound(m))
+
+
+def test_non_w_max_run_checks_m_before_it_takes_the_default_bound():
+    # with or without n_max, a negative m is refused in non_w_max_run's name
+    for args in [(-3,), (-3, 5), (-3, None)]:
+        with pytest.raises(DomainError, match=r"^non_w_max_run needs m >= 0, got -3$"):
+            non_w_max_run(*args)
