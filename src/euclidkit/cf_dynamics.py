@@ -23,12 +23,14 @@ class ContinuedFraction(NamedTuple):
 
 class QuotientSumStat(NamedTuple):
     """Total of all partial quotients over denominators 1..a, with the
-    6/pi^2 * a * ln(a)^2 prediction."""
+    6/pi^2 * a * ln(a)^2 prediction, and the division steps over the same
+    denominators."""
 
     a: int
     total: int
     predicted: float
     ratio: float
+    steps: int
 
 
 class UnimodularMatrix(NamedTuple):
@@ -96,35 +98,45 @@ def cf_value(cf) -> tuple[int, int]:
     return num, den
 
 
+def _quotient_scan(a: int, scan_budget: int | None, caller: str) -> tuple[int, int]:
+    """(sum of the partial quotients, number of division steps) of a/b over
+    every b in 1..a, with a and scan_budget checked in caller's name.
+
+    Only b < a/2 is walked. For a/2 < b < a, one subtraction takes a/b to
+    (b, a - b), and from there its chain runs in step with that of
+    a/(a - b), whose first quotient is one larger: a/b = [1, q, ...] and
+    a/(a - b) = [q + 1, ...]. So the pair has one quotient sum and a/b takes
+    one step more. b = a adds (1, 1), and b = a/2, for even a, adds (2, 1).
+    The loop keeps no chain: summing over _division_chain took 2-3x as long.
+    """
+    _at_least(a, "a", 2, caller)
+    _within(a, scan_budget, DEFAULT_SCAN_BUDGET, caller, "scan budget")
+    total = steps = 0
+    for b in range(1, (a - 1) // 2 + 1):
+        x, y = a, b
+        while y:
+            total += x // y
+            steps += 1
+            x, y = y, x % y
+    even = 1 - a % 2
+    return 2 * total + 1 + 2 * even, 2 * steps + (a - 1) // 2 + 1 + even
+
+
 def yao_knuth_stat(a: int, *, scan_budget: int | None = None) -> QuotientSumStat:
-    """Sum the partial quotients of a/b over every b in 1..a.
+    """Sum the partial quotients of a/b over every b in 1..a, and count
+    their division steps.
 
     The pairs are taken as given, not reduced first. The prediction uses the
     natural logarithm.
     """
-    _at_least(a, "a", 2, "yao_knuth_stat")
-    _within(a, scan_budget, DEFAULT_SCAN_BUDGET, "yao_knuth_stat", "scan budget")
-    total = 0
-    for b in range(1, a + 1):
-        x, y = a, b
-        while y:
-            total += x // y
-            x, y = y, x % y
+    total, steps = _quotient_scan(a, scan_budget, "yao_knuth_stat")
     predicted = (6.0 / math.pi**2) * a * math.log(a) ** 2
-    return QuotientSumStat(a, total, predicted, total / predicted)
+    return QuotientSumStat(a, total, predicted, total / predicted, steps)
 
 
 def average_cf_length(a: int, *, scan_budget: int | None = None) -> float:
     """Mean number of division steps for a/b over b = 1..a (report-only)."""
-    _at_least(a, "a", 2, "average_cf_length")
-    _within(a, scan_budget, DEFAULT_SCAN_BUDGET, "average_cf_length", "scan budget")
-    steps = 0
-    for b in range(1, a + 1):
-        x, y = a, b
-        while y:
-            steps += 1
-            x, y = y, x % y
-    return steps / a
+    return _quotient_scan(a, scan_budget, "average_cf_length")[1] / a
 
 
 def dynamical_run(x: int, y: int, *, step_budget: int | None = None) -> DynamicsRun:

@@ -157,9 +157,9 @@ def _cmd_yao_knuth(args, report: Report) -> None:
     """sum of all partial quotients up to a"""
     from . import cf_dynamics
     stat = cf_dynamics.yao_knuth_stat(args.a, scan_budget=args.budget)
-    mean_len = cf_dynamics.average_cf_length(args.a, scan_budget=args.budget)
     report.summary.update(
-        total=stat.total, predicted=stat.predicted, ratio=stat.ratio, mean_cf_length=mean_len
+        total=stat.total, predicted=stat.predicted, ratio=stat.ratio,
+        mean_cf_length=stat.steps / stat.a,
     )
 
 

@@ -116,8 +116,9 @@ def factorize(n: int, *, step_budget: int | None = None) -> Factorization:
 def sigma(n: int, *, step_budget: int | None = None) -> int:
     """Sum of every positive divisor of n, n itself included."""
     _at_least(n, "n", 1, "sigma")
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "sigma")
     total = 1
-    for prime, exponent in factorize(n, step_budget=step_budget).factors:
+    for prime, exponent in factorize(n, step_budget=budget).factors:
         total *= (prime ** (exponent + 1) - 1) // (prime - 1)
     return total
 
@@ -125,11 +126,11 @@ def sigma(n: int, *, step_budget: int | None = None) -> int:
 def lucas_lehmer(p: int, *, step_budget: int | None = None) -> bool:
     """Whether 2**p - 1 is prime, for a prime exponent p. step_budget bounds
     both the trial division of p and the p - 2 squarings."""
-    if _integer(p, "p") < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "lucas_lehmer")
+    if _integer(p, "p") < 2 or smallest_prime_factor(p, step_budget=budget) != p:
         raise DomainError(f"lucas_lehmer needs a prime exponent, got {_shown(p)}")
     if p == 2:
         return True
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "lucas_lehmer")
     if p - 2 > budget:
         raise ResourceLimitError(f"lucas_lehmer({_shown(p)}): exceeded {budget} squarings")
     modulus = (1 << p) - 1

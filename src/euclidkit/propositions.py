@@ -65,7 +65,8 @@ def coprime_by_prop1(a: int, b: int, *, step_budget: int | None = None) -> bool:
         )
     from . import euclid  # only this proposition walks a subtraction chain
 
-    g, _ = euclid.gcd_subtractive(a, b, step_budget=step_budget)
+    budget = _budget(step_budget, euclid.DEFAULT_STEP_BUDGET, "coprime_by_prop1")
+    g, _ = euclid.gcd_subtractive(a, b, step_budget=budget)
     return g == 1
 
 
@@ -91,13 +92,14 @@ def euclid_prime_extension(primes, *, step_budget: int | None = None) -> EuclidE
     bounds the trial division of each input and of E.
     """
     plist = sorted(_integer(p, "primes[i]") for p in _items(primes, "euclid_prime_extension"))
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "euclid_prime_extension")
     for p in plist:
-        if p < 2 or smallest_prime_factor(p, step_budget=step_budget) != p:
+        if p < 2 or smallest_prime_factor(p, step_budget=budget) != p:
             raise DomainError(f"euclid_prime_extension needs primes, got {_shown(p)}")
     if len(set(plist)) != len(plist):
         raise DomainError("euclid_prime_extension needs distinct primes")
     e = prod(plist) + 1
-    new_prime = smallest_prime_factor(e, step_budget=step_budget)
+    new_prime = smallest_prime_factor(e, step_budget=budget)
     assert new_prime not in set(plist)  # it would divide both e and e - 1
     return EuclidExtension(tuple(plist), e, new_prime)
 
@@ -107,14 +109,14 @@ def perfect_from_mersenne(p: int, *, step_budget: int | None = None) -> PerfectC
     divisor sum by the independent sigma computation. On the proven prime
     2**p - 1, sigma's trial division takes (isqrt(2**p - 1) - 1) // 2 steps;
     when that exceeds step_budget, sigma's budget error is raised at once."""
-    if not lucas_lehmer(p, step_budget=step_budget):
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "perfect_from_mersenne")
+    if not lucas_lehmer(p, step_budget=budget):
         raise HypothesisFailedError(f"2**{p} - 1 is composite; no perfect number here")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne
-    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "perfect_from_mersenne")
     if (isqrt(mersenne) - 1) // 2 > budget:  # factorize checks only inside its loop
         raise ResourceLimitError(f"factorize({_shown(value)}): exceeded {budget} trial divisions")
-    sigma_value = sigma(value, step_budget=step_budget)
+    sigma_value = sigma(value, step_budget=budget)
     if sigma_value != 2 * value:
         raise HypothesisFailedError(
             f"sigma({value}) = {sigma_value} != {2 * value}"
@@ -130,7 +132,8 @@ def classify_perfect(n: int, *, step_budget: int | None = None) -> int | None:
     number (never seen) would be reported loudly rather than classified.
     """
     _at_least(n, "n", 1, "classify_perfect")
-    if sigma(n, step_budget=step_budget) != 2 * n:
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "classify_perfect")
+    if sigma(n, step_budget=budget) != 2 * n:
         return None
     if n % 2:
         raise HypothesisFailedError(f"odd perfect number found: {n}")

@@ -9,8 +9,9 @@ from math import ceil, gcd, isqrt, log, perm, prod
 from operator import eq, lt, mod
 from typing import NamedTuple
 
-from .errors import DomainError, _at_least, _integer, _items, _shown, _within
+from .errors import DomainError, _at_least, _budget, _integer, _items, _shown, _within
 from .integers import (
+    DEFAULT_FACTOR_BUDGET,
     DEFAULT_SIEVE_LIMIT,
     _least_primes,
     _window_flags,
@@ -124,8 +125,9 @@ def prime_interval_equivalence(m: int, *, sieve_budget: int | None = None) -> tu
     from block products and gcds only.
     """
     _at_least(m, "m", 1, "prime_interval_equivalence")
+    budget = _budget(sieve_budget, DEFAULT_SIEVE_LIMIT, "prime_interval_equivalence")
     # isqrt((m+1)^2 - 1) == m bounds the window's base primes
-    _, prime_exists, is_w = _interval_sides(m, m, primes_up_to(m, sieve_budget=sieve_budget))[0]
+    _, prime_exists, is_w = _interval_sides(m, m, primes_up_to(m, sieve_budget=budget))[0]
     return prime_exists, is_w
 
 
@@ -195,9 +197,10 @@ def grimm_assign(m: int, n: int, *, step_budget: int | None = None) -> GrimmAssi
     that trial division finds in each element (see _confirmed_match)."""
     _at_least(m, "m", 0, "grimm_assign")
     _at_least(n, "n", 1, "grimm_assign")
+    budget = _budget(step_budget, DEFAULT_FACTOR_BUDGET, "grimm_assign")
     divisors: list[list[int]] = []
     for value in range(m + 1, m + n + 1):
-        factorization = factorize(value, step_budget=step_budget)
+        factorization = factorize(value, step_budget=budget)
         if sum(exponent for _, exponent in factorization.factors) < 2:
             raise DomainError(f"window element {_shown(value)} is not composite")
         divisors.append(factorization.primes())
@@ -209,7 +212,8 @@ def composite_runs(limit: int, *, sieve_budget: int | None = None) -> list[tuple
     """Maximal runs of consecutive composites with last element <= limit,
     as (m, n) meaning the run is m+1 .. m+n."""
     _at_least(limit, "limit", 4, "composite_runs")
-    primes = primes_up_to(limit + 1, sieve_budget=sieve_budget)
+    budget = _budget(sieve_budget, DEFAULT_SIEVE_LIMIT, "composite_runs")
+    primes = primes_up_to(limit + 1, sieve_budget=budget)
     out: list[tuple[int, int]] = []
     for p, q in zip(primes, primes[1:]):
         if q - p >= 2:

@@ -165,6 +165,12 @@ def quotient_total_by_cf(a: int) -> int:
     return sum(quotient_sum_by_divmod(a, b) for b in range(1, a + 1))
 
 
+def division_steps_by_divmod(a: int) -> int:
+    """Number of division steps of a/b over every b = 1..a, each chain
+    walked one divmod at a time."""
+    return sum(len(remainder_chain_by_divmod(a, b)) for b in range(1, a + 1))
+
+
 def witness_by_pair_matrix(values: list[int]) -> int | None:
     """Least 1-based index coprime to all others, from a full gcd matrix."""
     n = len(values)

@@ -24,6 +24,7 @@ from euclidkit import (
 from euclidkit.cf_dynamics import BOTTOM_MINUS_TOP, IDENTITY, TOP_MINUS_BOTTOM
 from oracles import (
     cf_value_by_fractions,
+    division_steps_by_divmod,
     dynamics_by_loop,
     quotient_sum_by_divmod,
     quotient_total_by_cf,
@@ -139,6 +140,46 @@ def test_quotient_sum_frozen_values():
 def test_quotient_sum_growth_trend():
     for a in (100, 200, 500, 1000):
         assert yao_knuth_stat(2 * a).total > yao_knuth_stat(a).total
+
+
+def _check_statistics(a):
+    stat = yao_knuth_stat(a)
+    steps = division_steps_by_divmod(a)
+    assert (stat.total, stat.steps) == (quotient_total_by_cf(a), steps)
+    assert average_cf_length(a) == steps / a
+
+
+def test_half_range_statistics_match_the_full_range_oracles():
+    # both parities, and a = 2, 3, 4, where the walked half holds 0 or 1 denominators
+    for a in range(2, 301):
+        _check_statistics(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(a=st.integers(2, 10**4))
+def test_half_range_statistics_match_the_oracles_up_to_ten_thousand(a):
+    _check_statistics(a)
+
+
+def test_statistics_frozen_at_100437():
+    stat = yao_knuth_stat(100437)
+    assert stat.total == 9367677
+    assert stat.steps / 100437 == average_cf_length(100437) == 9.866672640560749
+
+
+def test_quotient_scan_walks_only_the_lower_half(monkeypatch):
+    asked = []
+
+    def counted_range(*args):
+        asked.append(len(range(*args)))
+        return range(*args)
+
+    # the scan looks range up as a module global before the builtin
+    monkeypatch.setattr(cf_dynamics, "range", counted_range, raising=False)
+    for a in (2, 3, 4, 5, 1000, 1001):
+        asked.clear()
+        cf_dynamics._quotient_scan(a, None, "yao_knuth_stat")
+        assert asked and sum(asked) <= (a - 1) // 2
 
 
 def test_average_cf_length_frozen():

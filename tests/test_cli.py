@@ -827,6 +827,19 @@ ERROR_GOLDENS = [
         id="gcd-subtractive-negative-budget",
     ),
     pytest.param(
+        # perfect_from_mersenne hands its budget to lucas_lehmer and sigma,
+        # and checks it first, so the refusal names the function called
+        ["perfect", "7", "--budget", "-1"],
+        2,
+        {
+            "text": "perfect  budget=-1 format=text p=7\n"
+            "VIOLATION: perfect_from_mersenne needs budget >= 0, got -1\n",
+            "report": "command: perfect\nparam budget: -1\nparam format: report\nparam p: 7\n"
+            "violation: perfect_from_mersenne needs budget >= 0, got -1\n",
+        },
+        id="perfect-negative-budget",
+    ),
+    pytest.param(
         ["reciprocity-scan", "--limit", "-3"],
         2,
         {
@@ -1037,6 +1050,20 @@ def test_argparse_usage_errors_keep_the_bare_layout(capsys, tmp_path):
         "usage\nVIOLATION: the following arguments are required: b\n",
     )
     assert not out_path.exists()
+
+
+def test_stats_yao_knuth_scans_once(capsys, monkeypatch):
+    scan = cf_dynamics._quotient_scan
+    calls = []
+
+    def counted_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(cf_dynamics, "_quotient_scan", counted_scan)
+    code, out, _ = run_main(capsys, "stats", "yao-knuth", "1000")
+    assert code == 0 and "mean_cf_length = 5.423\n" in out
+    assert calls == [(1000, None, "yao_knuth_stat")]
 
 
 def test_perfect_scan_honours_budget(capsys):

@@ -773,9 +773,10 @@ def _chain_facts(*modules) -> tuple[set[str], ...]:
 def test_one_division_chain_serves_every_chain_routine():
     divmods, dividing_loops, callers, checkers = _chain_facts(euclid, cf_dynamics)
     assert divmods == {"_division_chain"}
-    # the two statistics scans keep their own remainder loops, which keep no
-    # chain: summing over _division_chain took them 2-3x as long at a = 100437
-    assert dividing_loops == {"_division_chain", "yao_knuth_stat", "average_cf_length"}
+    # the one statistics scan, which both statistics read, keeps its own
+    # remainder loop, which keeps no chain: summing over _division_chain took
+    # it 2-3x as long at a = 100437
+    assert dividing_loops == {"_division_chain", "_quotient_scan"}
     assert callers == {"gcd_remainder", "gcd_subtractive", "xgcd", "cf_expand", "dynamical_run"}
     # the chain checks its own operands, so no reader checks them again
     assert checkers == {

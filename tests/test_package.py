@@ -247,11 +247,11 @@ def test_budgets_must_be_integers(name, budget):
 
 @pytest.mark.parametrize("name", sorted(BUDGETED))
 def test_a_negative_budget_is_refused_and_a_zero_one_is_a_budget(name):
-    # the shared gate names the function that checked the budget: the
-    # primitive itself or the one it hands the budget to
+    # every primitive checks its own budget before it hands the budget on,
+    # so the refusal names the function called
     op, args = getattr(euclidkit, name), BUDGETED[name]
     keyword = _budget_keyword(op)
-    with pytest.raises(euclidkit.DomainError, match=r"^\w+ needs budget >= 0, got -1$"):
+    with pytest.raises(euclidkit.DomainError, match=rf"^{name} needs budget >= 0, got -1$"):
         op(*args, **{keyword: -1})
     try:
         assert op(*args, **{keyword: 0}) == op(*args)
@@ -265,7 +265,7 @@ def test_a_negative_budget_is_refused_and_a_zero_one_is_a_budget(name):
         ("10", "budget must be an integer, got str"),
         (1.5, "budget must be an integer, got float"),
         (True, "budget must be an integer, got bool"),
-        (-1, "gcd_subtractive needs budget >= 0, got -1"),
+        (-1, "coprime_by_prop1 needs budget >= 0, got -1"),
     ],
     ids=["str", "float", "bool", "negative"],
 )
